@@ -2,7 +2,6 @@
 capacity proxies for discrete and Cantor-type measures."""
 
 from .energies import (
-    Decomposition,
     EnergyReport,
     TruncationWindow,
     WolffExponents,
@@ -13,7 +12,6 @@ from .energies import (
     maximal_potential_values,
     riesz_l2_energy,
     riesz_transform_at_atoms,
-    symmetrization_decomposition,
     symmetrization_energy,
     symmetrization_potential_sq,
     symmetrization_potentials_sq_at_atoms,

@@ -26,7 +26,10 @@ import numpy as np
 from .energies import (
     TruncationWindow,
     WolffExponents,
+    _kernel_rows,
+    _pair_field,
     maximal_potential_energy,
+    symmetrization_potentials_sq_at_atoms,
     truncated_riesz_transform,
 )
 from .errors import (
@@ -35,7 +38,7 @@ from .errors import (
     UnsupportedExponentError,
 )
 from .kernels import KernelParams
-from .measures import DiscreteMeasure, measure_to_json
+from .measures import DiscreteMeasure, _sorted_rows, measure_to_json
 
 METHOD_ENERGY = "max-potential-energy"
 METHOD_WOLFF = "wolff-energy"
@@ -126,10 +129,8 @@ class _WolffObjective:
             )
         self.exps = exps
         self.beta = beta
-        d = support.distance_matrix()
-        self.order = np.argsort(d, axis=1, kind="stable")
+        self.order, sorted_d = _sorted_rows(support)
         self.rank = np.argsort(self.order, axis=1, kind="stable")
-        sorted_d = np.take_along_axis(d, self.order, axis=1)
         lo = np.clip(sorted_d, window.eps, window.outer)
         hi = np.concatenate(
             [sorted_d[:, 1:], np.full((support.size, 1), math.inf)], axis=1
@@ -240,7 +241,6 @@ def estimate_positive_capacity(
     window: TruncationWindow,
     cfg: OptimizerConfig = OptimizerConfig(),
     refine: bool = False,
-    mode: str = "auto",
 ) -> CapacityEstimate:
     """Best 1 / combined-energy over candidate probability weights.
 
@@ -253,9 +253,7 @@ def estimate_positive_capacity(
     exps = WolffExponents.matched(params)
     wolff_est = minimize_wolff_energy(support, exps, window, cfg)
     candidates = [uniform, wolff_est.witness]
-    energies = [
-        maximal_potential_energy(m, params, window, mode=mode) for m in candidates
-    ]
+    energies = [maximal_potential_energy(m, params, window) for m in candidates]
     diag = {
         "uniform_energy": energies[0],
         "wolff_witness_energy": energies[1],
@@ -300,13 +298,10 @@ def _refine_combined(support, params, window, w0, cfg, iters: int = 25):
 
 def _combined_subgradient(support, params, window, w) -> np.ndarray:
     """Subgradient of sum_i w_i (M_i + sqrt(pp_i)) in the weights."""
-    from .energies import symmetrization_potentials_sq_at_atoms
-
     mu = support.with_weights(w)
     alpha = params.alpha
     d = mu.distance_matrix()
-    order = np.argsort(d, axis=1, kind="stable")
-    sorted_d = np.take_along_axis(d, order, axis=1)
+    order, sorted_d = _sorted_rows(mu)
     cum = np.cumsum(mu.weights[order], axis=1)
     r = np.clip(sorted_d, window.eps, window.outer)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -317,7 +312,7 @@ def _combined_subgradient(support, params, window, w) -> np.ndarray:
     # dM_i/dw_m = [d_im <= r*_i] / r*_i^alpha at the attaining radius.
     ind = d <= r_star[:, None]
     grad_m_term = m_vals + (mu.weights * (1.0 / r_star**alpha)) @ ind
-    pp = symmetrization_potentials_sq_at_atoms(mu, params, window, mode="auto")
+    pp = symmetrization_potentials_sq_at_atoms(mu, params, window)
     root = np.sqrt(pp)
     u = np.where(root > 0.0, 0.5 * mu.weights / np.maximum(root, 1e-300), 0.0)
     bilinear = _pp_bilinear_at_atoms(mu, params, window, u)
@@ -326,8 +321,6 @@ def _combined_subgradient(support, params, window, w) -> np.ndarray:
 
 def _pp_bilinear_at_atoms(mu, params, window, left) -> np.ndarray:
     """B_m = sum_{i,k} left_i w_k sym(x_m, x_i, x_k) over separated triples."""
-    from .energies import _kernel_rows
-
     eps = window.eps
     d = mu.distance_matrix()
     vis = d > eps
@@ -342,19 +335,13 @@ def _pp_bilinear_at_atoms(mu, params, window, left) -> np.ndarray:
         gram = (kernels @ kernels.T) * vis
         base = lc @ gram @ rc
         # cross legs between the two moving atoms
-        f_r = _field(mu, params.alpha, eps, rc)
-        f_l = _field(mu, params.alpha, eps, lc)
+        f_r = _pair_field(mu, params.alpha, eps, rc)
+        f_l = _pair_field(mu, params.alpha, eps, lc)
         cross = float(np.einsum("kn,kn->", kernels * lc[:, None], f_r)) + float(
             np.einsum("kn,kn->", kernels * rc[:, None], f_l)
         )
         out[m] = base + cross
     return out
-
-
-def _field(mu, alpha, eps, coeffs) -> np.ndarray:
-    from .energies import _pair_field
-
-    return _pair_field(mu, alpha, eps, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -485,13 +472,12 @@ def comparability_report(
     alpha: float,
     window: TruncationWindow,
     cfg: OptimizerConfig = OptimizerConfig(),
-    mode: str = "auto",
 ) -> ComparabilityReport:
     """Evaluate both capacity proxies on the same support and window."""
     params = KernelParams(alpha, support.n)
     exps = WolffExponents.matched(params)
     wolff_est = minimize_wolff_energy(support, exps, window, cfg)
-    energy_est = estimate_positive_capacity(support, params, window, cfg, mode=mode)
+    energy_est = estimate_positive_capacity(support, params, window, cfg)
     return ComparabilityReport(energy_proxy=energy_est, wolff_proxy=wolff_est)
 
 

@@ -129,7 +129,7 @@ def cmd_energy(args) -> int:
     from .kernels import KernelParams
     from .measures import load_measure
 
-    cfg = _load_config(args.config, {"measure", "alpha", "eps", "r_out", "format", "mode"})
+    cfg = _load_config(args.config, {"measure", "alpha", "eps", "r_out", "format"})
     measure_path = args.measure or cfg.get("measure")
     if not measure_path:
         raise ValueError("a measure file is required (--measure)")
@@ -143,7 +143,7 @@ def cmd_energy(args) -> int:
         params = KernelParams(float(alpha), mu.n)
         for eps in eps_list:
             window = TruncationWindow(float(eps), r_out)
-            reports.append(energy_report(mu, params, window, mode=args.mode))
+            reports.append(energy_report(mu, params, window))
     if fmt == "json":
         _write_text(args.out, _json_dumps([r.to_json_dict() for r in reports]))
     else:
@@ -340,8 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", help="comma-separated list")
     p.add_argument("--r-out", type=float, dest="r_out")
     p.add_argument("--format", choices=("csv", "json"))
-    p.add_argument("--mode", default="auto",
-                   choices=("auto", "direct", "fused", "sequential"))
     p.add_argument("--out")
     p.set_defaults(fn=cmd_energy)
 

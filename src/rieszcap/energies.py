@@ -5,9 +5,6 @@ Implements, for an atomic measure mu with weights w_i at sites x_i:
 * the triple-sum symmetrization energy over ordered atom triples whose
   pairwise distances all exceed a cutoff eps (positive for 0 < a < 1);
 * truncated Riesz transforms R_eps(mu)(x) and their L2(mu) energy;
-* the exact decomposition 3 * L2-energy = triple sum + residual, where the
-  residual collects the degenerate ordered configurations (equal indices
-  and pairs closer than eps);
 * Wolff potentials/energies in closed piecewise form;
 * the pointwise squared symmetrization potential and the combined
   maximal-plus-potential energy whose reciprocal feeds capacity estimates;
@@ -19,17 +16,19 @@ make the untruncated Wolff integral and maximal function infinite, so the
 inner radius should normally be at least the measure resolution ``delta``.
 Cutoff comparisons are strict (> eps); ties at exactly eps are excluded.
 
-Evaluation modes
-----------------
-``mode="sequential"`` iterates unordered triples in plain Python (one
-deterministic pass, no vectorization) and exists for debugging and tiny
-inputs.  ``mode="direct"`` evaluates the same sum center by center with
-masked pair matrices; it is the default for small measures and is what the
-identity and oracle checks run against.  ``mode="fused"`` rewrites each
-center's pair sum as a completed square corrected by the explicitly
-enumerated close pairs; it is algebraically identical, runs in O(N^2), and
-is the default above ``FUSED_THRESHOLD`` atoms.  Tolerances of 1e-10..1e-12
-absorb the reassociation differences between modes.
+Evaluating the triple sum
+-------------------------
+The triple sum and the squared potentials at atoms share one evaluation
+path.  Grouped by center m, the triple sum is 3 sum_m w_m S_m, where S_m
+sums w_j w_k K_mj . K_mk over ordered pairs of distinct atoms that m sees
+beyond eps and that are themselves more than eps apart.  S_m is the
+completed square |R_m|^2 minus its diagonal j = k and the enumerated close
+pairs, which costs O(N^2 + N P) for P close pairs.  The subtraction can
+cancel, so every center carries a certificate: when |S_m| is at most
+``CERTIFICATE_TAU`` times |R_m|^2 + diag_m + sum |close terms|, the center
+is recomputed directly from its masked Gram matrix.  When close pairs are
+dense (P > N^2 / 4) every center is computed that way, so memory stays
+O(N^2).
 """
 
 from __future__ import annotations
@@ -42,13 +41,20 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedExponentError
 from .kernels import KernelParams, as_point
-from .measures import DiscreteMeasure, ball_profile, maximal_at_atoms, maximal_function
+from .measures import (
+    DiscreteMeasure,
+    _sorted_rows,
+    ball_profile,
+    maximal_at_atoms,
+    maximal_function,
+)
 
-# Above this atom count the O(N^2) fused path replaces the direct one.
-FUSED_THRESHOLD = 330
+# A completed-square center sum at most this share of the magnitudes it was
+# computed from is not trusted and is recomputed from the masked Gram matrix.
+CERTIFICATE_TAU = 1e-3
 
-# Fused-path negativity slack: squared potentials are clamped to zero when a
-# completed square undershoots by at most this relative amount.
+# Negativity slack: squared potentials are clamped to zero when a sum
+# undershoots by at most this relative amount.
 _CANCEL_RTOL = 1e-8
 
 
@@ -204,18 +210,6 @@ def riesz_l2_energy(mu: DiscreteMeasure, params: KernelParams, eps: float) -> fl
 # ---------------------------------------------------------------------------
 
 
-def _resolve_mode(mode: str, mu: DiscreteMeasure, eps: float) -> str:
-    if mode not in ("auto", "direct", "fused", "sequential"):
-        raise DomainError(f"unknown evaluation mode {mode!r}")
-    if mode != "auto":
-        return mode
-    if mu.size <= FUSED_THRESHOLD:
-        return "direct"
-    if len(_close_pairs(mu, eps)) > mu.size * mu.size // 4:
-        return "direct"
-    return "fused"
-
-
 def _warn_below_delta(window: TruncationWindow, mu: DiscreteMeasure) -> None:
     if window.eps < mu.delta * (1.0 - 1e-12):
         warnings.warn(
@@ -227,10 +221,7 @@ def _warn_below_delta(window: TruncationWindow, mu: DiscreteMeasure) -> None:
 
 
 def symmetrization_energy(
-    mu: DiscreteMeasure,
-    params: KernelParams,
-    window: TruncationWindow,
-    mode: str = "auto",
+    mu: DiscreteMeasure, params: KernelParams, window: TruncationWindow
 ) -> float:
     """Triple sum of the kernel symmetrization over eps-separated atoms.
 
@@ -243,152 +234,66 @@ def symmetrization_energy(
     _require_alpha_in(params, params.n)
     _check_dims(mu, params)
     _warn_below_delta(window, mu)
-    eps = window.eps
     if mu.size < 3:
         return 0.0
-    mode = _resolve_mode(mode, mu, eps)
-    if mode == "sequential":
-        return _sym_energy_sequential(mu, params, eps)
-    if mode == "direct":
-        return _sym_energy_direct(mu, params, eps)
-    return _sym_energy_fused(mu, params, eps)
-
-
-def _sym_energy_sequential(mu: DiscreteMeasure, params: KernelParams, eps: float) -> float:
-    from .kernels import symmetrization
-
-    d = mu.distance_matrix()
-    w = mu.weights
-    x = mu.atoms
-    total = 0.0
-    m = mu.size
-    for i in range(m):
-        for j in range(i + 1, m):
-            if d[i, j] <= eps:
-                continue
-            for k in range(j + 1, m):
-                if d[i, k] <= eps or d[j, k] <= eps:
-                    continue
-                total += w[i] * w[j] * w[k] * symmetrization(x[i], x[j], x[k], params)
-    return 6.0 * total
-
-
-def _sym_energy_direct(mu: DiscreteMeasure, params: KernelParams, eps: float) -> float:
-    # Grouped by center m: the ordered triple sum equals
-    #   3 * sum_m w_m sum_{j != k, all separations > eps} w_j w_k K_mj . K_mk
-    d = mu.distance_matrix()
-    sep = d > eps
-    w = mu.weights
-    n_atoms = mu.size
-    total = 0.0
-    block = max(1, (64 << 20) // max(1, n_atoms * n_atoms * 8))
-    for i0 in range(0, n_atoms, block):
-        i1 = min(i0 + block, n_atoms)
-        kernels = _kernel_rows(mu, params.alpha, i0, i1)
-        wv = np.where(sep[i0:i1], w[None, :], 0.0)
-        gram = np.einsum("mjn,mkn->mjk", kernels, kernels)
-        gram *= sep[None, :, :]
-        t = np.einsum("mjk,mk->mj", gram, wv)
-        total += float(np.dot(w[i0:i1], np.einsum("mj,mj->m", t, wv)))
-    return 3.0 * total
-
-
-def _sym_energy_fused(mu: DiscreteMeasure, params: KernelParams, eps: float) -> float:
-    per_center = _fused_center_sums(mu, params.alpha, eps)
+    per_center = _center_sums(mu, params.alpha, window.eps)
     return 3.0 * float(np.dot(mu.weights, per_center))
 
 
-def _fused_center_sums(mu: DiscreteMeasure, alpha: float, eps: float) -> np.ndarray:
-    """For each center m: sum over separated ordered pairs of K_mj.K_mk w_j w_k,
-    computed as |R_m|^2 minus the diagonal and the enumerated close pairs."""
-    d = mu.distance_matrix()
-    w = mu.weights
-    r = riesz_transform_at_atoms(mu, KernelParams(alpha, mu.n), eps)
-    sq = np.einsum("mn,mn->m", r, r)
-    with np.errstate(divide="ignore"):
-        inv = d ** (-2.0 * alpha)
-    inv[d == 0.0] = 0.0
-    diag = np.where(d > eps, inv * (w * w)[None, :], 0.0).sum(axis=1)
-    close = np.zeros(mu.size)
-    pairs = _close_pairs(mu, eps)
-    if len(pairs):
-        a, b = pairs[:, 0], pairs[:, 1]
-        x = mu.atoms
-        da, db = d[:, a], d[:, b]
-        with np.errstate(divide="ignore"):
-            sa = da ** (-(1.0 + alpha))
-            sb = db ** (-(1.0 + alpha))
-        sa[da == 0.0] = 0.0
-        sb[db == 0.0] = 0.0
-        dot = np.einsum(
-            "mpn,mpn->mp",
-            (x[a][None, :, :] - x[:, None, :]) * sa[:, :, None],
-            (x[b][None, :, :] - x[:, None, :]) * sb[:, :, None],
-        )
-        vis = (da > eps) & (db > eps)
-        close = 2.0 * np.einsum("mp,mp,p->m", dot, vis, w[a] * w[b])
-    return sq - diag - close
+def _masked_gram_sum(kernels: np.ndarray, wv: np.ndarray, sep: np.ndarray) -> float:
+    """wv . ((K K^T) * sep) . wv for the kernel legs K of one center."""
+    gram = (kernels @ kernels.T) * sep
+    return float(wv @ gram @ wv)
 
 
-# ---------------------------------------------------------------------------
-# Decomposition identity: 3 * L2 energy = triple sum + residual
-# ---------------------------------------------------------------------------
+def _center_sums(mu: DiscreteMeasure, alpha: float, eps: float) -> np.ndarray:
+    """For each center m: sum over separated ordered pairs of K_mj.K_mk w_j w_k.
 
-
-@dataclass(frozen=True)
-class Decomposition:
-    """Exact split of three times the truncated-transform L2 energy."""
-
-    lhs: float
-    p_part: float
-    residual: float
-
-    @property
-    def gap(self) -> float:
-        """lhs - (p_part + residual); zero up to float reassociation."""
-        return self.lhs - (self.p_part + self.residual)
-
-
-def symmetrization_decomposition(
-    mu: DiscreteMeasure, params: KernelParams, eps: float
-) -> Decomposition:
-    """Split 3 * riesz_l2_energy into the triple sum plus a residual.
-
-    The residual is enumerated independently over the degenerate ordered
-    configurations: pairs j = k, and pairs 0 < |x_j - x_k| <= eps with both
-    atoms eps-visible from the center.  The triple sum is evaluated in
-    ``direct`` mode so the identity remains a genuine cross-check.
+    Computed as |R_m|^2 minus the diagonal and the enumerated close pairs;
+    centers that fail the cancellation certificate, and every center when
+    close pairs are dense, are summed directly over their visible atoms.
     """
-    lhs = 3.0 * riesz_l2_energy(mu, params, eps)
-    p_part = symmetrization_energy(mu, params, TruncationWindow(eps), mode="direct")
-    residual = _residual_enumeration(mu, params, eps)
-    return Decomposition(lhs=lhs, p_part=p_part, residual=residual)
-
-
-def _residual_enumeration(mu: DiscreteMeasure, params: KernelParams, eps: float) -> float:
-    """Degenerate ordered configurations, straight from their definitions."""
     d = mu.distance_matrix()
     w = mu.weights
-    alpha = params.alpha
-    x = mu.atoms
-    total = 0.0
-    # j = k: the center sees atom j twice, contributing w_j^2 |k(x_j-x_i)|^2.
-    for i in range(mu.size):
-        for j in range(mu.size):
-            if d[i, j] > eps:
-                total += w[i] * w[j] * w[j] * d[i, j] ** (-2.0 * alpha)
-    # j != k with |x_j - x_k| <= eps: both visible from the center but the
-    # pair itself falls outside the separated region.
-    for j in range(mu.size):
-        for k in range(mu.size):
-            if k == j or d[j, k] > eps:
-                continue
-            for i in range(mu.size):
-                if d[i, j] > eps and d[i, k] > eps:
-                    kj = (x[j] - x[i]) * d[i, j] ** (-(1.0 + alpha))
-                    kk = (x[k] - x[i]) * d[i, k] ** (-(1.0 + alpha))
-                    total += w[i] * w[j] * w[k] * float(np.dot(kj, kk))
-    return float(3.0 * total)
+    sep = d > eps
+    pairs = _close_pairs(mu, eps)
+    if len(pairs) > mu.size * mu.size // 4:
+        sums = np.zeros(mu.size)
+        redo = np.arange(mu.size)
+    else:
+        r = riesz_transform_at_atoms(mu, KernelParams(alpha, mu.n), eps)
+        sq = np.einsum("mn,mn->m", r, r)
+        with np.errstate(divide="ignore"):
+            inv = d ** (-2.0 * alpha)
+        inv[d == 0.0] = 0.0
+        diag = np.where(sep, inv * (w * w)[None, :], 0.0).sum(axis=1)
+        close = close_abs = np.zeros(mu.size)
+        if len(pairs):
+            a, b = pairs[:, 0], pairs[:, 1]
+            x = mu.atoms
+            da, db = d[:, a], d[:, b]
+            with np.errstate(divide="ignore"):
+                sa = da ** (-(1.0 + alpha))
+                sb = db ** (-(1.0 + alpha))
+            sa[da == 0.0] = 0.0
+            sb[db == 0.0] = 0.0
+            dot = np.einsum(
+                "mpn,mpn->mp",
+                (x[a][None, :, :] - x[:, None, :]) * sa[:, :, None],
+                (x[b][None, :, :] - x[:, None, :]) * sb[:, :, None],
+            )
+            vis = (da > eps) & (db > eps)
+            pair_w = w[a] * w[b]
+            close = 2.0 * np.einsum("mp,mp,p->m", dot, vis, pair_w)
+            # In place: the N x P arrays set this path's peak memory.
+            close_abs = 2.0 * np.einsum("mp,mp,p->m", np.abs(dot, out=dot), vis, pair_w)
+        sums = sq - diag - close
+        redo = np.flatnonzero(np.abs(sums) <= CERTIFICATE_TAU * (sq + diag + close_abs))
+    for m in redo:
+        seen = np.flatnonzero(sep[m] & (w > 0.0))
+        kernels = _kernel_rows(mu, alpha, m, m + 1)[0, seen]
+        sums[m] = _masked_gram_sum(kernels, w[seen], sep[np.ix_(seen, seen)])
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -440,9 +345,7 @@ def wolff_potentials_at_atoms(
     """Vectorized wolff_potential at every atom site."""
     beta = _wolff_beta(exps)
     e = exps.dual_exp
-    d = mu.distance_matrix()
-    order = np.argsort(d, axis=1, kind="stable")
-    sorted_d = np.take_along_axis(d, order, axis=1)
+    order, sorted_d = _sorted_rows(mu)
     cum = np.cumsum(mu.weights[order], axis=1)
     lo = np.clip(sorted_d, window.eps, window.outer)
     hi = np.concatenate([sorted_d[:, 1:], np.full((mu.size, 1), math.inf)], axis=1)
@@ -480,9 +383,7 @@ def symmetrization_potential_sq(
     eps = window.eps
     kernels, dist = _kernel_from_point(mu, p, params.alpha)
     wv = np.where(dist > eps, mu.weights, 0.0)
-    sep = mu.distance_matrix() > eps
-    gram = (kernels @ kernels.T) * sep
-    base = float(wv @ gram @ wv)
+    base = _masked_gram_sum(kernels, wv, mu.distance_matrix() > eps)
     cross = 2.0 * float(
         np.einsum("kn,kn->", kernels * wv[:, None], _pair_field(mu, params.alpha, eps, wv))
     )
@@ -508,28 +409,20 @@ def _pair_field(mu: DiscreteMeasure, alpha: float, eps: float, coeffs: np.ndarra
 
 
 def symmetrization_potentials_sq_at_atoms(
-    mu: DiscreteMeasure,
-    params: KernelParams,
-    window: TruncationWindow,
-    mode: str = "auto",
+    mu: DiscreteMeasure, params: KernelParams, window: TruncationWindow
 ) -> np.ndarray:
     """Squared symmetrization potential at every atom site.
 
     The cross terms (legs joining the two moving atoms) are accumulated
-    exactly in every mode; ``fused`` only rewrites the center-leg Gram part
-    as a completed square.  Tiny negative values from that cancellation are
-    clamped to zero; an undershoot beyond the expected float noise raises.
+    directly; the center-leg Gram part is the certified per-center sum of
+    the triple-sum energy.  Tiny negative totals are clamped to zero; an
+    undershoot beyond the expected float noise raises.
     """
     _require_alpha_in(params, 1.0)
     _check_dims(mu, params)
     _warn_below_delta(window, mu)
     eps = window.eps
     alpha = params.alpha
-    mode = _resolve_mode(mode, mu, eps)
-    if mode == "sequential":
-        return np.array(
-            [symmetrization_potential_sq(mu, x, params, window) for x in mu.atoms]
-        )
     d = mu.distance_matrix()
     w = mu.weights
     vis = d > eps
@@ -557,21 +450,7 @@ def symmetrization_potentials_sq_at_atoms(
         f = (coeff @ se.reshape(n_atoms, width * n_dim)).reshape(n_atoms, width, n_dim)
         cross += 2.0 * ((e * f).sum(axis=2) * coeff[:, k0:k1]).sum(axis=1)
 
-    if mode == "direct":
-        gram_part = np.empty(n_atoms)
-        sep = vis
-        block = max(1, (64 << 20) // max(1, n_atoms * n_atoms * 8))
-        for i0 in range(0, n_atoms, block):
-            i1 = min(i0 + block, n_atoms)
-            kernels = _kernel_rows(mu, alpha, i0, i1)
-            wv = coeff[i0:i1]
-            gram = np.einsum("mjn,mkn->mjk", kernels, kernels)
-            gram *= sep[None, :, :]
-            t = np.einsum("mjk,mk->mj", gram, wv)
-            gram_part[i0:i1] = np.einsum("mj,mj->m", t, wv)
-    else:
-        gram_part = _fused_center_sums(mu, alpha, eps)
-
+    gram_part = _center_sums(mu, alpha, eps)
     pp = gram_part + cross
     floor = -_CANCEL_RTOL * (np.abs(gram_part) + np.abs(cross) + 1e-300)
     if np.any(pp < floor):
@@ -591,22 +470,16 @@ def maximal_potential(
 
 
 def maximal_potential_values(
-    mu: DiscreteMeasure,
-    params: KernelParams,
-    window: TruncationWindow,
-    mode: str = "auto",
+    mu: DiscreteMeasure, params: KernelParams, window: TruncationWindow
 ) -> np.ndarray:
     """Per-atom combined potential values M_i + sqrt(pp_i)."""
     m = maximal_at_atoms(mu, params.alpha, r_min=window.eps, r_max=window.outer)
-    pp = symmetrization_potentials_sq_at_atoms(mu, params, window, mode=mode)
+    pp = symmetrization_potentials_sq_at_atoms(mu, params, window)
     return m + np.sqrt(pp)
 
 
 def maximal_potential_energy(
-    mu: DiscreteMeasure,
-    params: KernelParams,
-    window: TruncationWindow,
-    mode: str = "auto",
+    mu: DiscreteMeasure, params: KernelParams, window: TruncationWindow
 ) -> float:
     """mu-integral of the combined maximal-plus-potential values.
 
@@ -614,9 +487,7 @@ def maximal_potential_energy(
     scaled along, mass fixed); its reciprocal on probability measures is
     the positive-capacity proxy.
     """
-    return float(
-        np.dot(mu.weights, maximal_potential_values(mu, params, window, mode=mode))
-    )
+    return float(np.dot(mu.weights, maximal_potential_values(mu, params, window)))
 
 
 # ---------------------------------------------------------------------------
@@ -636,8 +507,7 @@ def ball_mass_double_sum(
     d = mu.distance_matrix()
     eps = window.eps
     w = mu.weights
-    order = np.argsort(d, axis=1, kind="stable")
-    sorted_d = np.take_along_axis(d, order, axis=1)
+    order, sorted_d = _sorted_rows(mu)
     cum = np.cumsum(w[order], axis=1)
     total = 0.0
     for i in range(mu.size):
@@ -712,7 +582,6 @@ def energy_report(
     params: KernelParams,
     window: TruncationWindow | None = None,
     eps_sweep=None,
-    mode: str = "auto",
 ) -> EnergyReport:
     """Evaluate every report functional of one measure at one window.
 
@@ -731,10 +600,10 @@ def energy_report(
         params=params,
         window=window,
         n_atoms=mu.size,
-        symmetrization=symmetrization_energy(mu, params, window, mode=mode),
+        symmetrization=symmetrization_energy(mu, params, window),
         riesz_l2=riesz_l2_energy(mu, params, window.eps),
         sup_riesz_l2=float(sup_r),
         wolff=wolff_energy(mu, exps, window),
-        maximal_potential=maximal_potential_energy(mu, params, window, mode=mode),
+        maximal_potential=maximal_potential_energy(mu, params, window),
         max_maximal=float(m_vals.max()),
     )

@@ -86,7 +86,6 @@ def sweep_point(
     base: float = 1.0,
     cfg: OptimizerConfig | None = None,
     with_proxies: bool = True,
-    mode: str = "auto",
     max_atoms: int = 65536,
 ) -> SweepPoint:
     """Evaluate all sweep quantities on one corner-Cantor measure.
@@ -99,12 +98,12 @@ def sweep_point(
     params = KernelParams(alpha, n)
     window = TruncationWindow(spec.cell_side)
     exps = WolffExponents.matched(params)
-    sym = symmetrization_energy(mu, params, window, mode=mode)
+    sym = symmetrization_energy(mu, params, window)
     wolff = wolff_energy(mu, exps, window)
     double = ball_mass_double_sum(mu, params, window)
     if with_proxies:
         cfg = cfg or OptimizerConfig(max_iters=200, tolerance=1e-8)
-        report = comparability_report(mu, alpha, window, cfg, mode=mode)
+        report = comparability_report(mu, alpha, window, cfg)
         energy_proxy = report.energy_proxy.value
         wolff_proxy = report.wolff_proxy.value
         iters = report.wolff_proxy.diagnostics["iterations"]
@@ -137,7 +136,6 @@ def comparability_sweep(
     n: int = 2,
     cfg: OptimizerConfig | None = None,
     with_proxies: bool = True,
-    mode: str = "auto",
 ) -> list:
     """The standard sweep: alpha x (dimension factor) x depth."""
     points = []
@@ -147,7 +145,7 @@ def comparability_sweep(
                 points.append(
                     sweep_point(
                         alpha, factor * alpha, depth, n=n, cfg=cfg,
-                        with_proxies=with_proxies, mode=mode,
+                        with_proxies=with_proxies,
                     )
                 )
     return points
@@ -206,7 +204,6 @@ def depth_trend(
     depths=(1, 2, 3, 4, 5),
     n: int = 2,
     cfg: OptimizerConfig | None = None,
-    mode: str = "auto",
 ) -> DepthTrend:
     """Truncated Wolff energy and capacity proxy across construction depths.
 
@@ -214,10 +211,7 @@ def depth_trend(
     affinely with depth and the proxy decays toward zero.  Above the
     critical dimension the energy converges and the proxy stabilizes.
     """
-    points = [
-        sweep_point(alpha, dim_factor * alpha, m, n=n, cfg=cfg, mode=mode)
-        for m in depths
-    ]
+    points = [sweep_point(alpha, dim_factor * alpha, m, n=n, cfg=cfg) for m in depths]
     return DepthTrend(
         alpha=alpha,
         dimension=dim_factor * alpha,

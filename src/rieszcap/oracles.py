@@ -4,6 +4,8 @@ Nothing here is meant for production use.  Each oracle re-derives its value
 with plain Python loops and scalar math so it shares no summation code with
 the vectorized energy routines it cross-checks.  Keep it that way: reusing
 the fast paths would void the independence these anchors exist to provide.
+The one exception is the decomposition identity, which relates two
+production functionals through a residual that is enumerated here by loops.
 """
 
 from __future__ import annotations
@@ -13,8 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energies import TruncationWindow, WolffExponents
+from .energies import (
+    TruncationWindow,
+    WolffExponents,
+    riesz_l2_energy,
+    symmetrization_energy,
+)
 from .errors import DomainError, ToleranceNotMetError
+from .kernels import KernelParams
 from .measures import DiscreteMeasure
 
 
@@ -119,6 +127,67 @@ def naive_symmetrization_potential_sq(
                 continue
             total += weights[j] * weights[k] * _sym_raw(p, atoms[j], atoms[k], alpha)
     return total
+
+
+# ---------------------------------------------------------------------------
+# Decomposition identity: 3 * L2 energy = triple sum + residual
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Decomposition:
+    """Exact split of three times the truncated-transform L2 energy."""
+
+    lhs: float
+    p_part: float
+    residual: float
+
+    @property
+    def gap(self) -> float:
+        """lhs - (p_part + residual); zero up to float reassociation."""
+        return self.lhs - (self.p_part + self.residual)
+
+
+def symmetrization_decomposition(
+    mu: DiscreteMeasure, params: KernelParams, eps: float
+) -> Decomposition:
+    """Split 3 * riesz_l2_energy into the triple sum plus a residual.
+
+    The residual is enumerated independently over the degenerate ordered
+    configurations: pairs j = k, and pairs 0 < |x_j - x_k| <= eps with both
+    atoms eps-visible from the center.  The triple sum never sees these
+    configurations, so the identity checks it against the transform energy.
+    """
+    lhs = 3.0 * riesz_l2_energy(mu, params, eps)
+    p_part = symmetrization_energy(mu, params, TruncationWindow(eps))
+    residual = _residual_enumeration(mu, params, eps)
+    return Decomposition(lhs=lhs, p_part=p_part, residual=residual)
+
+
+def _residual_enumeration(mu: DiscreteMeasure, params: KernelParams, eps: float) -> float:
+    """Degenerate ordered configurations, straight from their definitions."""
+    d = mu.distance_matrix()
+    w = mu.weights
+    alpha = params.alpha
+    x = mu.atoms
+    total = 0.0
+    # j = k: the center sees atom j twice, contributing w_j^2 |k(x_j-x_i)|^2.
+    for i in range(mu.size):
+        for j in range(mu.size):
+            if d[i, j] > eps:
+                total += w[i] * w[j] * w[j] * d[i, j] ** (-2.0 * alpha)
+    # j != k with |x_j - x_k| <= eps: both visible from the center but the
+    # pair itself falls outside the separated region.
+    for j in range(mu.size):
+        for k in range(mu.size):
+            if k == j or d[j, k] > eps:
+                continue
+            for i in range(mu.size):
+                if d[i, j] > eps and d[i, k] > eps:
+                    kj = (x[j] - x[i]) * d[i, j] ** (-(1.0 + alpha))
+                    kk = (x[k] - x[i]) * d[i, k] ** (-(1.0 + alpha))
+                    total += w[i] * w[j] * w[k] * float(np.dot(kj, kk))
+    return float(3.0 * total)
 
 
 # ---------------------------------------------------------------------------

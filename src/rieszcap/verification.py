@@ -28,7 +28,6 @@ from .energies import (
     WolffExponents,
     maximal_potential_energy,
     riesz_l2_energy,
-    symmetrization_decomposition,
     symmetrization_energy,
     symmetrization_potential_sq,
     wolff_energy,
@@ -59,6 +58,7 @@ from .oracles import (
     naive_symmetrization_energy,
     naive_symmetrization_potential_sq,
     quadrature_wolff,
+    symmetrization_decomposition,
 )
 
 FAULTS = ("p-alpha-scale",)
@@ -99,19 +99,25 @@ def _rng(seed: int, salt: int) -> np.random.Generator:
     return np.random.default_rng([seed, salt])
 
 
-def _random_measure(
-    rng: np.random.Generator, max_atoms: int, n: int = 2, min_gap: float = 0.02
+def random_measure(
+    rng: np.random.Generator, count: int, n: int = 2, min_gap: float = 0.02,
+    delta: float | None = None,
 ) -> DiscreteMeasure:
-    """Random weighted cloud in [-1, 1]^n with a guaranteed minimum gap."""
-    count = int(rng.integers(3, max_atoms + 1))
+    """Random weighted cloud of ``count`` atoms in [-1, 1]^n whose atoms are
+    more than ``min_gap`` apart; delta defaults to ``min_gap``."""
     for _ in range(200):
         atoms = rng.uniform(-1.0, 1.0, size=(count, n))
         d = np.linalg.norm(atoms[:, None, :] - atoms[None, :, :], axis=2)
         np.fill_diagonal(d, np.inf)
         if d.min() > min_gap:
             weights = rng.uniform(0.3, 1.7, size=count)
-            return DiscreteMeasure(atoms, weights, delta=min_gap)
+            return DiscreteMeasure(atoms, weights, delta=delta or min_gap)
     raise DomainError("could not draw a separated random measure")
+
+
+def _atom_count(rng: np.random.Generator, max_atoms: int) -> int:
+    """Size of a battery measure, drawn from rng before its atoms."""
+    return int(rng.integers(3, max_atoms + 1))
 
 
 def _rel_close(a: float, b: float, rtol: float, tiny: float = 1e-30) -> bool:
@@ -229,7 +235,7 @@ def suite_measures(seed: int = 0) -> SuiteResult:
     res = _new_result("measure-invariants")
     rng = _rng(seed, 3)
     for _ in range(40):
-        mu = _random_measure(rng, 20)
+        mu = random_measure(rng, _atom_count(rng, 20))
         x = rng.uniform(-1.5, 1.5, size=2)
         prof = ball_profile(mu, x)
         res.record(
@@ -249,7 +255,7 @@ def suite_measures(seed: int = 0) -> SuiteResult:
         )
         res.record(ok, "profile mass disagrees with the counting oracle")
     # Maximal function: translation invariance and dilation covariance.
-    mu = _random_measure(rng, 15)
+    mu = random_measure(rng, _atom_count(rng, 15))
     alpha = 0.5
     x = rng.uniform(-1.0, 1.0, size=2)
     shift = rng.uniform(-3.0, 3.0, size=2)
@@ -298,7 +304,7 @@ def suite_decomposition(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for _ in range(measures):
-            mu = _random_measure(rng, max_atoms)
+            mu = random_measure(rng, _atom_count(rng, max_atoms))
             alpha = float(rng.uniform(0.1, 0.9))
             params = KernelParams(alpha, 2)
             for eps in (0.021, float(rng.uniform(0.05, 0.5)), float(rng.uniform(0.5, 1.5))):
@@ -328,7 +334,7 @@ def suite_wolff_quadrature(seed: int = 0, cases: int = 200) -> SuiteResult:
     per_set = max(1, cases // len(exponent_sets))
     for exps in exponent_sets:
         for _ in range(per_set):
-            mu = _random_measure(rng, 12)
+            mu = random_measure(rng, _atom_count(rng, 12))
             x = rng.uniform(-1.4, 1.4, size=2)
             r_out = float(rng.uniform(3.0, 8.0)) if rng.random() < 0.5 else None
             window = TruncationWindow(float(rng.uniform(0.03, 0.4)), r_out)
@@ -354,7 +360,7 @@ def suite_oracle_equivalence(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for _ in range(measures):
-            mu = _random_measure(rng, max_atoms)
+            mu = random_measure(rng, _atom_count(rng, max_atoms))
             alpha = float(rng.uniform(0.1, 0.9))
             params = KernelParams(alpha, 2)
             eps = float(rng.uniform(0.03, 0.6))
@@ -396,7 +402,7 @@ def suite_scaling(seed: int = 0) -> SuiteResult:
         for alpha in (0.3, 0.6):
             params = KernelParams(alpha, 2)
             exps = WolffExponents.matched(params)
-            mu = _random_measure(rng, 12)
+            mu = random_measure(rng, _atom_count(rng, 12))
             window = TruncationWindow(0.05)
             base = {
                 "sym": symmetrization_energy(mu, params, window),
@@ -440,7 +446,7 @@ def suite_monotonicity(seed: int = 0) -> SuiteResult:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for _ in range(20):
-            mu = _random_measure(rng, 14)
+            mu = random_measure(rng, _atom_count(rng, 14))
             alpha = float(rng.uniform(0.2, 0.9))
             params = KernelParams(alpha, 2)
             exps = WolffExponents.matched(params)
@@ -462,7 +468,7 @@ def suite_chebyshev(seed: int = 0, cases: int = 100) -> SuiteResult:
     res = _new_result("chebyshev-restriction")
     rng = _rng(seed, 9)
     for _ in range(cases):
-        mu = _random_measure(rng, 25).normalized()
+        mu = random_measure(rng, _atom_count(rng, 25)).normalized()
         vals = rng.uniform(0.0, 5.0, size=mu.size)
         energy = float(np.dot(mu.weights, vals))
         t = float(rng.uniform(1.2, 4.0)) * energy
@@ -559,13 +565,13 @@ def suite_optimizer(seed: int = 0) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def suite_comparability(seed: int = 0, mode: str = "auto") -> SuiteResult:
+def suite_comparability(seed: int = 0) -> SuiteResult:
     """Two-sided ratio windows across the standard Cantor sweep."""
     res = _new_result("comparability-window")
     thresholds = defaults.THRESHOLDS
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        points = comparability_sweep(mode=mode)
+        points = comparability_sweep()
         sym_window = ratio_window([p.sym_wolff_ratio for p in points])
         dbl_window = ratio_window([p.double_sum_ratio for p in points])
         proxy_window = ratio_window([p.proxy_ratio for p in points])
@@ -597,7 +603,7 @@ def suite_comparability(seed: int = 0, mode: str = "auto") -> SuiteResult:
     return res
 
 
-def suite_zero_capacity(seed: int = 0, mode: str = "auto") -> SuiteResult:
+def suite_zero_capacity(seed: int = 0) -> SuiteResult:
     """Depth trends: affine Wolff growth at critical dimension, decreasing
     proxies, and stabilization above the critical dimension."""
     res = _new_result("zero-capacity-trend")
@@ -605,7 +611,7 @@ def suite_zero_capacity(seed: int = 0, mode: str = "auto") -> SuiteResult:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for alpha in (0.25, 0.5, 0.75):
-            critical = depth_trend(alpha, 1.0, mode=mode)
+            critical = depth_trend(alpha, 1.0)
             slope, _, r2 = critical.wolff_fit()
             res.record(
                 r2 > thresholds["wolff_growth_min_r2"] and slope > 0.0,
@@ -615,7 +621,7 @@ def suite_zero_capacity(seed: int = 0, mode: str = "auto") -> SuiteResult:
                 critical.proxy_monotone_decreasing(),
                 f"capacity proxy not decreasing in depth at alpha={alpha}",
             )
-            above = depth_trend(alpha, 1.5, mode=mode)
+            above = depth_trend(alpha, 1.5)
             change = above.final_relative_change()
             res.record(
                 change < thresholds["supercritical_stabilization"],

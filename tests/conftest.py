@@ -1,24 +1,12 @@
 import numpy as np
 import pytest
 
-from rieszcap.measures import DiscreteMeasure
+from rieszcap.verification import random_measure as make_random_measure
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
-
-
-def make_random_measure(rng, count, n=2, min_gap=0.02, delta=None):
-    """Random weighted cloud in [-1, 1]^n with a guaranteed minimum gap."""
-    for _ in range(200):
-        atoms = rng.uniform(-1.0, 1.0, size=(count, n))
-        d = np.linalg.norm(atoms[:, None, :] - atoms[None, :, :], axis=2)
-        np.fill_diagonal(d, np.inf)
-        if d.min() > min_gap:
-            weights = rng.uniform(0.3, 1.7, size=count)
-            return DiscreteMeasure(atoms, weights, delta=delta or min_gap)
-    raise RuntimeError("could not draw a separated measure")
 
 
 @pytest.fixture

@@ -13,7 +13,6 @@ from rieszcap.energies import (
     maximal_potential_values,
     riesz_l2_energy,
     riesz_transform_at_atoms,
-    symmetrization_decomposition,
     symmetrization_energy,
     symmetrization_potential_sq,
     symmetrization_potentials_sq_at_atoms,
@@ -21,11 +20,12 @@ from rieszcap.energies import (
 )
 from rieszcap.errors import DomainError
 from rieszcap.kernels import KernelParams
-from rieszcap.measures import DiscreteMeasure
+from rieszcap.measures import DiscreteMeasure, cantor_measure, cantor_spec_for_dimension
 from rieszcap.oracles import (
     naive_riesz_l2_energy,
     naive_symmetrization_energy,
     naive_symmetrization_potential_sq,
+    symmetrization_decomposition,
 )
 
 P2 = KernelParams(0.5, 2)
@@ -35,6 +35,41 @@ P1 = KernelParams(0.5, 1)
 @pytest.fixture
 def collinear3():
     return DiscreteMeasure([[0.0], [1.0], [2.0]], np.ones(3), delta=0.5)
+
+
+def _close_pair_count(mu, eps):
+    """Unordered atom pairs at distance in (0, eps]."""
+    d = mu.distance_matrix()
+    return int(np.count_nonzero(np.triu((d > 0.0) & (d <= eps))))
+
+
+def _cancelling_measure():
+    """Three atoms, one pair within eps: every center sum is exactly zero,
+    while the completed square leaves rounding noise."""
+    mu = DiscreteMeasure([[0.0, 0.0], [0.3, 0.1], [2.0, 0.7]], [0.7, 1.3, 0.9], delta=0.1)
+    return mu, 0.5
+
+
+def _dense_random_measure(rng):
+    """A random cloud at an eps with more than N^2 / 4 close pairs, the
+    regime summed center by center."""
+    mu = make_random_measure(rng, 16)
+    eps = 1.3
+    assert _close_pair_count(mu, eps) > mu.size**2 // 4
+    return mu, eps
+
+
+def _wide_cutoff_cantor():
+    """n = 2, dimension 0.75, depth 3 Cantor (N = 64) at eps = 256 delta."""
+    mu = cantor_measure(cantor_spec_for_dimension(2, 0.75, 3))
+    return mu, 256.0 * mu.delta
+
+
+SINGLE_PATH_CASES = {
+    "cancelling": lambda rng: _cancelling_measure(),
+    "dense-close-pairs": _dense_random_measure,
+    "wide-cutoff-cantor": lambda rng: _wide_cutoff_cantor(),
+}
 
 
 class TestTruncationWindow:
@@ -61,14 +96,24 @@ class TestSymmetrizationEnergy:
         mu = DiscreteMeasure([[0.0], [1.0]], np.ones(2), delta=0.1)
         assert symmetrization_energy(mu, P1, TruncationWindow(0.1)) == 0.0
 
-    @pytest.mark.parametrize("mode", ["direct", "fused", "sequential"])
-    def test_modes_match_naive(self, rng, mode):
+    def test_matches_naive(self, rng):
         mu = make_random_measure(rng, 12)
         alpha = 0.45
         params = KernelParams(alpha, 2)
         for eps in (0.03, 0.4):
-            got = symmetrization_energy(mu, params, TruncationWindow(eps), mode=mode)
+            got = symmetrization_energy(mu, params, TruncationWindow(eps))
             want = naive_symmetrization_energy(mu, alpha, eps)
+            assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("case", sorted(SINGLE_PATH_CASES))
+    def test_hard_cases_match_naive(self, rng, case):
+        mu, eps = SINGLE_PATH_CASES[case](rng)
+        got = symmetrization_energy(mu, P2, TruncationWindow(eps))
+        want = naive_symmetrization_energy(mu, 0.5, eps)
+        if case == "cancelling":
+            assert want == 0.0
+            assert got == 0.0
+        else:
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_monotone_nonincreasing_in_eps(self, rng):
@@ -87,10 +132,6 @@ class TestSymmetrizationEnergy:
     def test_dimension_mismatch(self, collinear3):
         with pytest.raises(DomainError):
             symmetrization_energy(collinear3, P2, TruncationWindow(0.5))
-
-    def test_unknown_mode(self, collinear3):
-        with pytest.raises(DomainError):
-            symmetrization_energy(collinear3, P1, TruncationWindow(0.5), mode="turbo")
 
 
 class TestTruncatedTransform:
@@ -193,15 +234,19 @@ class TestPointwisePotential:
             symmetrization_energy(mu, P2, win), rel=1e-12
         )
 
-    @pytest.mark.parametrize("mode", ["direct", "fused", "sequential"])
-    def test_batched_modes_match(self, rng, mode):
+    def test_batched_matches_naive(self, rng):
         mu = make_random_measure(rng, 13)
         win = TruncationWindow(0.2)
-        got = symmetrization_potentials_sq_at_atoms(mu, P2, win, mode=mode)
-        singles = [
-            symmetrization_potential_sq(mu, x, P2, win) for x in mu.atoms
-        ]
-        assert np.allclose(got, singles, rtol=1e-11, atol=1e-14)
+        got = symmetrization_potentials_sq_at_atoms(mu, P2, win)
+        want = [naive_symmetrization_potential_sq(mu, x, 0.5, 0.2) for x in mu.atoms]
+        assert np.allclose(got, want, rtol=1e-11, atol=1e-14)
+
+    @pytest.mark.parametrize("case", sorted(SINGLE_PATH_CASES))
+    def test_batched_hard_cases_match_naive(self, rng, case):
+        mu, eps = SINGLE_PATH_CASES[case](rng)
+        got = symmetrization_potentials_sq_at_atoms(mu, P2, TruncationWindow(eps))
+        want = [naive_symmetrization_potential_sq(mu, x, 0.5, eps) for x in mu.atoms]
+        assert np.allclose(got, want, rtol=1e-11, atol=1e-14)
 
     def test_alpha_domain(self, random_measure):
         with pytest.raises(DomainError):
