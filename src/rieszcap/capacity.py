@@ -110,8 +110,12 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
 class _WolffObjective:
     """E(w) = sum_i w_i integral (m_i(r; w)/r^trace)^e dr/r on a fixed support.
 
-    Precomputes, per atom row, the sorted distance order; each evaluation is
-    O(N^2).  Gradient requires e >= 1 (p <= 2) so the integrand stays
+    Precomputes, per atom row, the sorted distance order and the flat index
+    that gathers per-piece sums back to atoms.  ``energy`` costs one O(N^2)
+    prefix-sum pass and keeps that pass until the next call;
+    ``energy_and_gradient`` at the same weights reuses it (as ``_descend``
+    does on every accepted step) and adds only the suffix-sum pass and the
+    gather.  Gradient requires e >= 1 (p <= 2) so the integrand stays
     differentiable where cumulative masses vanish.
     """
 
@@ -129,8 +133,15 @@ class _WolffObjective:
             )
         self.exps = exps
         self.beta = beta
+        size = support.size
         self.order, sorted_d = _sorted_rows(support)
-        self.rank = np.argsort(self.order, axis=1, kind="stable")
+        # flat[i, m] is the position of atom m's piece in row i of the
+        # row-reversed suffix sums, flattened: i * N + (N - 1 - rank).
+        self.flat = np.empty_like(self.order)
+        np.put_along_axis(
+            self.flat, self.order, np.arange(size * size).reshape(size, size)[:, ::-1],
+            axis=1,
+        )
         lo = np.clip(sorted_d, window.eps, window.outer)
         hi = np.concatenate(
             [sorted_d[:, 1:], np.full((support.size, 1), math.inf)], axis=1
@@ -138,22 +149,29 @@ class _WolffObjective:
         hi = np.clip(hi, window.eps, window.outer)
         with np.errstate(divide="ignore"):
             self.drop = (lo ** (-beta) - np.where(np.isinf(hi), 0.0, hi ** (-beta))) / beta
+        self._last = None  # (w, cum, pot) of the latest energy() call
 
-    def potentials(self, w: np.ndarray) -> np.ndarray:
+    def _prefix(self, w: np.ndarray) -> tuple:
         cum = np.cumsum(w[self.order], axis=1)
-        return (cum**self.exps.dual_exp * self.drop).sum(axis=1)
+        return cum, (cum**self.exps.dual_exp * self.drop).sum(axis=1)
 
     def energy(self, w: np.ndarray) -> float:
-        return float(np.dot(w, self.potentials(w)))
+        self._last = None  # release the previous pass before making a new one
+        cum, pot = self._prefix(w)
+        self._last = (w.copy(), cum, pot)
+        return float(np.dot(w, pot))
 
     def energy_and_gradient(self, w: np.ndarray) -> tuple:
         e = self.exps.dual_exp
-        cum = np.cumsum(w[self.order], axis=1)
-        pot = (cum**e * self.drop).sum(axis=1)
-        # dW_i/dw_m = e * sum over pieces at radius >= d_im of m^(e-1) drop;
+        last, self._last = self._last, None
+        if last is not None and np.array_equal(last[0], w):
+            _, cum, pot = last
+        else:
+            cum, pot = self._prefix(w)
+        # dW_i/dw_m = e * sum over pieces at radius >= d_im of m^(e-1) drop:
         # suffix sums over the sorted pieces, gathered back per atom.
-        suffix = np.cumsum((cum ** (e - 1.0) * self.drop)[:, ::-1], axis=1)[:, ::-1]
-        j = np.take_along_axis(suffix, self.rank, axis=1)
+        suffix = np.cumsum((cum ** (e - 1.0) * self.drop)[:, ::-1], axis=1)
+        j = np.take(suffix, self.flat)
         grad = pot + e * (w @ j)
         return float(np.dot(w, pot)), grad
 

@@ -30,6 +30,9 @@ DEFAULT_ATOM_CAP = 65536
 # exactly on the boundary up to one ulp.
 _GAP_RTOL = 1e-12
 
+# Cache entries that depend on the atoms only, shared by every weight vector.
+_GEOMETRY = ("min_gap", "dist", "diameter")
+
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
@@ -49,6 +52,8 @@ class DiscreteMeasure:
     atoms: np.ndarray
     weights: np.ndarray
     delta: float = None  # type: ignore[assignment]
+    # The support's geometry (``_GEOMETRY``), filled lazily; ``with_weights``
+    # seeds the new measure's cache with it.
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -71,7 +76,9 @@ class DiscreteMeasure:
         weights.setflags(write=False)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
-        gap = _min_pairwise_distance(atoms)
+        gap = self._cache.get("min_gap")
+        if gap is None:
+            gap = _min_pairwise_distance(atoms)
         if gap <= COINCIDENCE_EPS:
             raise MeasureFormatError("atoms must be pairwise distinct")
         delta = self.delta
@@ -149,7 +156,14 @@ class DiscreteMeasure:
         return DiscreteMeasure(self.atoms * factor, self.weights, self.delta * factor)
 
     def with_weights(self, weights) -> "DiscreteMeasure":
-        return DiscreteMeasure(self.atoms, weights, self.delta)
+        """Same support with new weights.
+
+        The support's cached geometry (min gap, distance matrix, diameter)
+        carries over to the new measure in a cache of its own; the weights
+        are checked as in the constructor.
+        """
+        geometry = {k: self._cache[k] for k in _GEOMETRY if k in self._cache}
+        return DiscreteMeasure(self.atoms, weights, self.delta, geometry)
 
     def normalized(self) -> "DiscreteMeasure":
         """Rescale weights to total mass one."""

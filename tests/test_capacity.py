@@ -12,6 +12,7 @@ from rieszcap.capacity import (
     METHOD_WOLFF,
     OptimizerConfig,
     PLANAR_MAPS,
+    _WolffObjective,
     admissible_grid,
     admissible_lower_bound,
     bilipschitz_experiment,
@@ -33,6 +34,7 @@ from rieszcap.errors import DomainError, EmptyRestrictionError
 from rieszcap.experiments import semiadditivity_probe
 from rieszcap.kernels import KernelParams
 from rieszcap.measures import DiscreteMeasure, cantor_measure, cantor_spec_for_dimension
+from rieszcap.oracles import wolff_cubic_form
 
 P2 = KernelParams(0.5, 2)
 MATCHED = WolffExponents.matched(P2)
@@ -135,6 +137,68 @@ class TestWolffMinimization:
             minimize_wolff_energy(
                 mu, WolffExponents(s=0.3, p=2.5, n=2), TruncationWindow(0.5)
             )
+
+
+def _random_support(rng):
+    return make_random_measure(rng, 16), TruncationWindow(0.05, 2.5)
+
+
+def _cantor_support(rng):
+    mu = cantor_measure(cantor_spec_for_dimension(2, 0.75, 3))
+    return mu, TruncationWindow(mu.delta)
+
+
+SUPPORTS = pytest.mark.parametrize(
+    "make_support", [_random_support, _cantor_support], ids=["random", "cantor3"]
+)
+
+
+class TestWolffObjective:
+    # p = 2, 3/2, 5/4 give dual_exp = 1, 2, 4 at trace 1/2; p = 3/2 is matched.
+    @SUPPORTS
+    @pytest.mark.parametrize("p", [2.0, 1.5, 1.25])
+    def test_gradient_matches_central_differences(self, rng, make_support, p):
+        mu, window = make_support(rng)
+        objective = _WolffObjective(mu, WolffExponents(s=1.5 / p, p=p, n=2), window)
+        w = rng.uniform(0.5, 1.5, mu.size) / mu.size
+        energy, grad = objective.energy_and_gradient(w)
+        assert energy == pytest.approx(wolff_energy(mu.with_weights(w), objective.exps, window),
+                                       rel=1e-12)
+        h = 1e-6 / mu.size
+        fd = np.empty(mu.size)
+        for m in range(mu.size):
+            step = np.zeros(mu.size)
+            step[m] = h
+            fd[m] = (objective.energy(w + step) - objective.energy(w - step)) / (2.0 * h)
+        np.testing.assert_allclose(fd, grad, rtol=1e-6, atol=1e-9 * np.abs(grad).max())
+
+    @SUPPORTS
+    @pytest.mark.parametrize("p", [2.0, 1.5, 1.25])
+    def test_warm_gradient_is_bit_equal_to_cold(self, rng, make_support, p):
+        mu, window = make_support(rng)
+        exps = WolffExponents(s=1.5 / p, p=p, n=2)
+        w = rng.uniform(0.5, 1.5, mu.size) / mu.size
+        warm = _WolffObjective(mu, exps, window)
+        e_warm = warm.energy(w)
+        energy, grad = warm.energy_and_gradient(w)
+        cold_energy, cold_grad = _WolffObjective(mu, exps, window).energy_and_gradient(w)
+        assert energy == e_warm == cold_energy
+        assert np.array_equal(grad, cold_grad)
+        # A pass at other weights is not reused.
+        warm.energy(project_to_simplex(w[::-1]))
+        again = warm.energy_and_gradient(w)
+        assert again[0] == cold_energy and np.array_equal(again[1], cold_grad)
+
+    @SUPPORTS
+    def test_matches_cubic_form_oracle(self, rng, make_support):
+        mu, window = make_support(rng)
+        alpha = 0.5
+        objective = _WolffObjective(mu, WolffExponents.matched(KernelParams(alpha, 2)), window)
+        w = rng.uniform(0.0, 2.0, mu.size) / mu.size
+        energy, grad = objective.energy_and_gradient(w)
+        ref_energy, ref_grad = wolff_cubic_form(mu.with_weights(w), alpha, window)
+        assert energy == pytest.approx(ref_energy, rel=1e-12)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=0.0)
 
 
 class TestPositiveCapacity:

@@ -72,6 +72,44 @@ class TestDiscreteMeasure:
         assert np.allclose(scaled.atoms, 3.0 * mu.atoms)
         assert scaled.total_mass == mu.total_mass
 
+    def test_with_weights_keeps_geometry(self, rng):
+        mu = make_random_measure(rng, 10)
+        d = mu.distance_matrix()
+        diameter = mu.diameter
+        w = rng.uniform(0.0, 1.0, mu.size)
+        nu = mu.with_weights(w)
+        assert nu.atoms is mu.atoms
+        assert nu.distance_matrix() is d
+        assert nu.min_gap == mu.min_gap and nu.delta == mu.delta
+        assert nu.diameter == diameter
+        assert np.array_equal(nu.weights, w)
+        assert nu._cache is not mu._cache
+        nu._cache["scratch"] = 1.0
+        assert "scratch" not in mu._cache
+
+    def test_with_weights_before_geometry_is_built(self, rng):
+        mu = make_random_measure(rng, 6)
+        nu = mu.with_weights(np.ones(mu.size))
+        assert np.array_equal(nu.distance_matrix(), mu.distance_matrix())
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            [1.0, math.nan, 1.0, 1.0],
+            [1.0, -0.5, 1.0, 1.0],
+            [1.0, 1.0, 1.0],
+            [[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]],
+            [0.0, 0.0, 0.0, 0.0],
+            [1.0, math.inf, 1.0, 1.0],
+        ],
+        ids=["nan", "negative", "short", "misaligned", "zero-total", "inf"],
+    )
+    def test_with_weights_still_checks_weights(self, weights):
+        mu = DiscreteMeasure([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], np.ones(4))
+        mu.distance_matrix()
+        with pytest.raises(MeasureFormatError):
+            mu.with_weights(weights)
+
 
 class TestCantorGenerator:
     def test_depth_one_quarter_ratio(self):
