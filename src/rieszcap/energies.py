@@ -23,11 +23,18 @@ path.  Grouped by center m, the triple sum is 3 sum_m w_m S_m, where S_m
 sums w_j w_k K_mj . K_mk over ordered pairs of distinct atoms that m sees
 beyond eps and that are themselves more than eps apart.  S_m is the
 completed square |R_m|^2 minus its diagonal j = k and the enumerated close
-pairs, which costs O(N^2 + N P) for P close pairs.  The subtraction can
-cancel, so every center carries a certificate: when |S_m| is at most
-``CERTIFICATE_TAU`` times |R_m|^2 + diag_m + sum |close terms|, the center
-is recomputed directly from its masked Gram matrix.  When close pairs are
-dense (P > N^2 / 4) every center is computed that way, so memory stays
+pairs, which costs O(N^2 + N P) for P close pairs.  The squared potential
+at atom i adds the cross part X_i, whose legs join the two moving atoms.
+With v = [d > eps] and K_kj = k_a(x_j - x_k), splitting v_ij into
+1 - [i = j] - [(i, j) close] gives X_i = 2 (T1_i - T2_i - T3_i): T1 is
+sum_k w_k v_ik K_ki . R_k, accumulated in the pass that forms R; T2 reuses
+the diagonal's powers d^(-2 alpha); T3 gathers the close-pair dot products
+pair by pair.  So the squared potentials cost O(N^2 + N P) as well.
+The subtractions can cancel, so every result carries a certificate: when
+it is at most ``CERTIFICATE_TAU`` times the sum of the absolute terms it
+was computed from, it is recomputed directly from the masked Gram matrix
+(and, for a potential, the cross field) at its center.  When close pairs
+are dense (P > N^2 / 4) every center is computed that way, so memory stays
 O(N^2).
 """
 
@@ -49,8 +56,8 @@ from .measures import (
     maximal_function,
 )
 
-# A completed-square center sum at most this share of the magnitudes it was
-# computed from is not trusted and is recomputed from the masked Gram matrix.
+# A completed-square result at most this share of the magnitudes it was
+# computed from is not trusted and is recomputed directly at its center.
 CERTIFICATE_TAU = 1e-3
 
 # Negativity slack: squared potentials are clamped to zero when a sum
@@ -180,6 +187,34 @@ def truncated_riesz_transform(
     return np.einsum("jn,j->n", kernels, wv)
 
 
+def _transform_at_atoms(mu: DiscreteMeasure, alpha: float, eps: float, cross: bool = False):
+    """Truncated transform at every atom, summed in row blocks.
+
+    Returns (r, t1, t1_abs) with R_m = sum_j w_j v_mj K[m, j], where
+    K[m, j] = k_a(x_j - x_m) and v = [d > eps].  With ``cross`` set, the
+    same blocks also give T1_i = sum_k w_k v_ki K[k, i] . R_k and the sum of
+    the absolute values of its terms; otherwise both are zero.
+    """
+    d = mu.distance_matrix()
+    w = mu.weights
+    r = np.empty((mu.size, mu.n))
+    t1 = np.zeros(mu.size)
+    t1_abs = np.zeros(mu.size)
+    block = _row_block(mu.size, mu.n)
+    for i0 in range(0, mu.size, block):
+        i1 = min(i0 + block, mu.size)
+        kernels = _kernel_rows(mu, alpha, i0, i1)
+        wv = np.where(d[i0:i1] > eps, w[None, :], 0.0)
+        r[i0:i1] = np.einsum("mjn,mj->mn", kernels, wv)
+        if cross:
+            # terms[k, i] = w_k v_ki K[k, i] . R_k over the block's rows k.
+            terms = np.einsum("kin,kn->ki", kernels, r[i0:i1])
+            terms *= np.where(d[i0:i1] > eps, w[i0:i1, None], 0.0)
+            t1 += terms.sum(axis=0)
+            t1_abs += np.abs(terms, out=terms).sum(axis=0)
+    return r, t1, t1_abs
+
+
 def riesz_transform_at_atoms(
     mu: DiscreteMeasure, params: KernelParams, eps: float
 ) -> np.ndarray:
@@ -187,16 +222,7 @@ def riesz_transform_at_atoms(
     if eps <= 0.0:
         raise DomainError(f"eps must be positive, got {eps}")
     _check_dims(mu, params)
-    n_atoms = mu.size
-    out = np.empty((n_atoms, mu.n))
-    d = mu.distance_matrix()
-    block = _row_block(n_atoms, mu.n)
-    for i0 in range(0, n_atoms, block):
-        i1 = min(i0 + block, n_atoms)
-        kernels = _kernel_rows(mu, params.alpha, i0, i1)
-        wv = np.where(d[i0:i1] > eps, mu.weights[None, :], 0.0)
-        out[i0:i1] = np.einsum("mjn,mj->mn", kernels, wv)
-    return out
+    return _transform_at_atoms(mu, params.alpha, eps)[0]
 
 
 def riesz_l2_energy(mu: DiscreteMeasure, params: KernelParams, eps: float) -> float:
@@ -255,45 +281,83 @@ def _center_sums(mu: DiscreteMeasure, alpha: float, eps: float) -> np.ndarray:
     """
     d = mu.distance_matrix()
     w = mu.weights
-    sep = d > eps
-    pairs = _close_pairs(mu, eps)
-    if len(pairs) > mu.size * mu.size // 4:
+    square = _completed_square(mu, alpha, eps, cross=False)
+    if square is None:
         sums = np.zeros(mu.size)
         redo = np.arange(mu.size)
     else:
-        r = riesz_transform_at_atoms(mu, KernelParams(alpha, mu.n), eps)
-        sq = np.einsum("mn,mn->m", r, r)
-        with np.errstate(divide="ignore"):
-            inv = d ** (-2.0 * alpha)
-        inv[d == 0.0] = 0.0
-        diag = np.where(sep, inv * (w * w)[None, :], 0.0).sum(axis=1)
-        close = close_abs = np.zeros(mu.size)
-        if len(pairs):
-            a, b = pairs[:, 0], pairs[:, 1]
-            x = mu.atoms
-            da, db = d[:, a], d[:, b]
-            with np.errstate(divide="ignore"):
-                sa = da ** (-(1.0 + alpha))
-                sb = db ** (-(1.0 + alpha))
-            sa[da == 0.0] = 0.0
-            sb[db == 0.0] = 0.0
-            dot = np.einsum(
-                "mpn,mpn->mp",
-                (x[a][None, :, :] - x[:, None, :]) * sa[:, :, None],
-                (x[b][None, :, :] - x[:, None, :]) * sb[:, :, None],
-            )
-            vis = (da > eps) & (db > eps)
-            pair_w = w[a] * w[b]
-            close = 2.0 * np.einsum("mp,mp,p->m", dot, vis, pair_w)
-            # In place: the N x P arrays set this path's peak memory.
-            close_abs = 2.0 * np.einsum("mp,mp,p->m", np.abs(dot, out=dot), vis, pair_w)
-        sums = sq - diag - close
-        redo = np.flatnonzero(np.abs(sums) <= CERTIFICATE_TAU * (sq + diag + close_abs))
+        sums, _, magnitude = square
+        redo = np.flatnonzero(np.abs(sums) <= CERTIFICATE_TAU * magnitude)
     for m in redo:
-        seen = np.flatnonzero(sep[m] & (w > 0.0))
+        seen = np.flatnonzero((d[m] > eps) & (w > 0.0))
         kernels = _kernel_rows(mu, alpha, m, m + 1)[0, seen]
-        sums[m] = _masked_gram_sum(kernels, w[seen], sep[np.ix_(seen, seen)])
+        sums[m] = _masked_gram_sum(kernels, w[seen], d[np.ix_(seen, seen)] > eps)
     return sums
+
+
+def _completed_square(mu: DiscreteMeasure, alpha: float, eps: float, cross: bool):
+    """Completed-square sums per center and the magnitudes they cancel against.
+
+    Returns (gram, x, magnitude), or None when close pairs are dense
+    (P > N^2 / 4).  gram_m = |R_m|^2 - diag_m - close_m is the center-leg
+    sum.  With ``cross`` set, x is the cross part of the squared potential;
+    splitting v_ij = 1 - [i = j] - [(i, j) close] in it gives
+    x_i = 2 (T1_i - T2_i - T3_i) with
+
+        T1_i = sum_k w_k v_ik K_ki . R_k           (in the transform's pass),
+        T2_i = w_i sum_k w_k v_ik d_ik^(-2 alpha)  (the diagonal's powers),
+        T3_i = sum over close pairs (i, j) of w_j s_ij,
+        s_ab = sum_k w_k v_ka v_kb K_ka . K_kb     (the close-pair dots);
+
+    otherwise x is None.  The magnitude adds up the absolute terms of every
+    part that was summed.
+    """
+    pairs = _close_pairs(mu, eps)
+    if len(pairs) > mu.size * mu.size // 4:
+        return None
+    a, b = pairs.T
+    d = mu.distance_matrix()
+    w = mu.weights
+    r, t1, t1_abs = _transform_at_atoms(mu, alpha, eps, cross)
+    sq = np.einsum("mn,mn->m", r, r)
+    with np.errstate(divide="ignore"):
+        inv = d ** (-2.0 * alpha)
+    inv[d <= eps] = 0.0
+    diag = inv @ (w * w)
+    close = close_abs = np.zeros(mu.size)
+    s = s_abs = np.zeros(len(pairs))
+    if len(pairs):
+        x = mu.atoms
+        da, db = d[:, a], d[:, b]
+        with np.errstate(divide="ignore"):
+            sa = da ** (-(1.0 + alpha))
+            sb = db ** (-(1.0 + alpha))
+        sa[da == 0.0] = 0.0
+        sb[db == 0.0] = 0.0
+        dot = np.einsum(
+            "mpn,mpn->mp",
+            (x[a][None, :, :] - x[:, None, :]) * sa[:, :, None],
+            (x[b][None, :, :] - x[:, None, :]) * sb[:, :, None],
+        )
+        # In place: the N x P arrays set this path's peak memory.
+        dot *= (da > eps) & (db > eps)
+        pair_w = w[a] * w[b]
+        close = 2.0 * (dot @ pair_w)
+        if cross:
+            s = w @ dot
+        np.abs(dot, out=dot)
+        close_abs = 2.0 * (dot @ pair_w)
+        if cross:
+            s_abs = w @ dot
+    gram = sq - diag - close
+    magnitude = sq + diag + close_abs
+    if not cross:
+        return gram, None, magnitude
+    t2 = w * (inv @ w)
+    # T3_i gathers w_j s_ij over the close pairs (i, j) in both orders.
+    t3 = np.bincount(a, w[b] * s, mu.size) + np.bincount(b, w[a] * s, mu.size)
+    t3_abs = np.bincount(a, w[b] * s_abs, mu.size) + np.bincount(b, w[a] * s_abs, mu.size)
+    return gram, 2.0 * (t1 - t2 - t3), magnitude + 2.0 * (t1_abs + t2 + t3_abs)
 
 
 # ---------------------------------------------------------------------------
@@ -380,19 +444,40 @@ def symmetrization_potential_sq(
     _require_alpha_in(params, 1.0)
     _check_dims(mu, params)
     p = as_point(x, mu.n)
-    eps = window.eps
     kernels, dist = _kernel_from_point(mu, p, params.alpha)
-    wv = np.where(dist > eps, mu.weights, 0.0)
-    base = _masked_gram_sum(kernels, wv, mu.distance_matrix() > eps)
-    cross = 2.0 * float(
-        np.einsum("kn,kn->", kernels * wv[:, None], _pair_field(mu, params.alpha, eps, wv))
-    )
+    base, cross = _direct_potential_sq(mu, kernels, dist, params.alpha, window.eps)
     value = base + cross
     # Each admissible pair contributes a positive term for alpha < 1, so a
     # tiny negative total is pure float noise.
     if value < -_CANCEL_RTOL * (abs(base) + abs(cross) + 1e-300):
         raise DomainError("squared potential came out negative beyond float noise")
     return max(value, 0.0)
+
+
+def _direct_potential_sq(
+    mu: DiscreteMeasure, legs: np.ndarray, dist: np.ndarray, alpha: float, eps: float
+) -> tuple:
+    """Center-leg and cross parts of the squared potential at one point.
+
+    ``legs`` and ``dist`` hold k_a(x_j - x) and |x_j - x| for every atom;
+    both parts are summed directly over the positively weighted atoms
+    farther than eps from x, in O(S^2) for S such atoms.
+    """
+    d = mu.distance_matrix()
+    seen = np.flatnonzero((dist > eps) & (mu.weights > 0.0))
+    legs, wv, x = legs[seen], mu.weights[seen], mu.atoms[seen]
+    sep = d[np.ix_(seen, seen)] > eps
+    base = _masked_gram_sum(legs, wv, sep)
+    cross = 0.0
+    block = _row_block(len(seen), mu.n)
+    for k0 in range(0, len(seen), block):
+        dk = d[np.ix_(seen[k0 : k0 + block], seen)]
+        with np.errstate(divide="ignore"):
+            scale = np.where(sep[k0 : k0 + block], dk ** (-(1.0 + alpha)), 0.0)
+        # field[k] = sum_j w_j [d_jk > eps] k_a(x_k - x_j)
+        field = np.einsum("kjn,kj,j->kn", x[k0 : k0 + block, None, :] - x[None, :, :], scale, wv)
+        cross += 2.0 * float(np.einsum("kn,kn,k->", legs[k0 : k0 + block], field, wv[k0 : k0 + block]))
+    return base, cross
 
 
 def _pair_field(mu: DiscreteMeasure, alpha: float, eps: float, coeffs: np.ndarray) -> np.ndarray:
@@ -413,46 +498,34 @@ def symmetrization_potentials_sq_at_atoms(
 ) -> np.ndarray:
     """Squared symmetrization potential at every atom site.
 
-    The cross terms (legs joining the two moving atoms) are accumulated
-    directly; the center-leg Gram part is the certified per-center sum of
-    the triple-sum energy.  Tiny negative totals are clamped to zero; an
-    undershoot beyond the expected float noise raises.
+    pp_i is the center-leg Gram part of the triple-sum energy plus the cross
+    part X_i = 2 sum_{j,k} w_j w_k v_ij v_ik v_jk K_ki . K_kj, with
+    v = [d > eps] and K_kj = k_a(x_j - x_k).  Both come from one completed
+    square, in O(N^2 + N P) for P close pairs: the cross part is taken
+    from the transform R, the diagonal's powers and the close-pair dot
+    products (see ``_completed_square``).  A center whose total is at
+    most ``CERTIFICATE_TAU`` times the magnitudes it was summed from, and
+    every center when close pairs are dense, is recomputed directly at the
+    atom.  Tiny negative totals are clamped to zero; an undershoot beyond
+    the expected float noise raises.
     """
     _require_alpha_in(params, 1.0)
     _check_dims(mu, params)
     _warn_below_delta(window, mu)
-    eps = window.eps
-    alpha = params.alpha
+    alpha, eps = params.alpha, window.eps
+    square = _completed_square(mu, alpha, eps, cross=True)
+    if square is None:
+        gram, cross = np.zeros(mu.size), np.zeros(mu.size)
+        redo = np.arange(mu.size)
+    else:
+        gram, cross, magnitude = square
+        redo = np.flatnonzero(np.abs(gram + cross) <= CERTIFICATE_TAU * magnitude)
     d = mu.distance_matrix()
-    w = mu.weights
-    vis = d > eps
-    n_atoms = mu.size
-    n_dim = mu.n
-
-    # Cross part: X_i = 2 sum_k (w_k vis_ik) E_ik . F^(i)_k with
-    # F^(i)_k = sum_j (w_j vis_ij) sep_jk k(x_k - x_j) and E_ik = k(x_k - x_i).
-    # The j-contraction is one matrix product per column block.
-    cross = np.zeros(n_atoms)
-    coeff = vis * w[None, :]
-    col_block = _row_block(n_atoms, n_dim)
-    for k0 in range(0, n_atoms, col_block):
-        k1 = min(k0 + col_block, n_atoms)
-        width = k1 - k0
-        # rows index the full atom range, columns the slice; diffs[a, k]
-        # equals x_k - x_a, serving as both the j->k and i->k kernel legs.
-        diffs = mu.atoms[None, k0:k1, :] - mu.atoms[:, None, :]
-        dk = d[:, k0:k1]
-        with np.errstate(divide="ignore"):
-            scale = dk ** (-(1.0 + alpha))
-        scale[dk == 0.0] = 0.0
-        e = diffs * scale[:, :, None]
-        se = e * (dk > eps)[:, :, None]
-        f = (coeff @ se.reshape(n_atoms, width * n_dim)).reshape(n_atoms, width, n_dim)
-        cross += 2.0 * ((e * f).sum(axis=2) * coeff[:, k0:k1]).sum(axis=1)
-
-    gram_part = _center_sums(mu, alpha, eps)
-    pp = gram_part + cross
-    floor = -_CANCEL_RTOL * (np.abs(gram_part) + np.abs(cross) + 1e-300)
+    for i in redo:
+        legs = _kernel_rows(mu, alpha, i, i + 1)[0]
+        gram[i], cross[i] = _direct_potential_sq(mu, legs, d[i], alpha, eps)
+    pp = gram + cross
+    floor = -_CANCEL_RTOL * (np.abs(gram) + np.abs(cross) + 1e-300)
     if np.any(pp < floor):
         raise DomainError(
             "squared potential came out negative beyond cancellation slack; "
@@ -504,20 +577,25 @@ def ball_mass_double_sum(
     to the triple-sum symmetrization energy.
     """
     _require_alpha_in(params, params.n)
-    d = mu.distance_matrix()
-    eps = window.eps
     w = mu.weights
     order, sorted_d = _sorted_rows(mu)
-    cum = np.cumsum(w[order], axis=1)
-    total = 0.0
-    for i in range(mu.size):
-        idx = np.searchsorted(sorted_d[i], d[i], side="right") - 1
-        mass = cum[i][idx]
-        keep = d[i] > eps
+    rows = np.empty(mu.size)
+    block = _row_block(mu.size, 1, 8 << 20)
+    for i0 in range(0, mu.size, block):
+        dist = sorted_d[i0 : i0 + block]
+        near = w[order[i0 : i0 + block]]
+        cum = np.cumsum(near, axis=1)
+        # The closed ball through a tie group holds all of it: every member
+        # takes the cumulative mass at the group's last member, which is the
+        # smallest group-end mass at or after it because cum never decreases.
+        last = np.ones(dist.shape, dtype=bool)
+        np.not_equal(dist[:, 1:], dist[:, :-1], out=last[:, :-1])
+        mass = np.minimum.accumulate(np.where(last, cum, np.inf)[:, ::-1], axis=1)[:, ::-1]
         with np.errstate(divide="ignore"):
-            vals = np.where(keep, w * mass * d[i] ** (-2.0 * params.alpha), 0.0)
-        total += w[i] * float(vals.sum())
-    return total
+            scale = dist ** (-2.0 * params.alpha)
+        scale[dist <= window.eps] = 0.0
+        rows[i0 : i0 + block] = np.einsum("ij,ij,ij->i", near, mass, scale)
+    return float(np.dot(w, rows))
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,31 @@ def naive_symmetrization_potential_sq(
     return total
 
 
+def naive_ball_mass_double_sum(mu: DiscreteMeasure, alpha: float, eps: float) -> float:
+    """sum_{i != j, d_ij > eps} w_i w_j mu(B(x_i, d_ij)) / d_ij^(2a), closed balls
+    counted atom by atom.
+
+    Distances are read from the measure's distance matrix, so ties between
+    mathematically equal distances are decided on the same rounded values
+    as in the vectorized sum; the counting and summation are loops.
+    """
+    d = mu.distance_matrix().tolist()
+    _, weights = _atom_rows(mu)
+    m = len(weights)
+    total = 0.0
+    for i in range(m):
+        for j in range(m):
+            r = d[i][j]
+            if j == i or r <= eps:
+                continue
+            mass = 0.0
+            for k in range(m):
+                if d[i][k] <= r:
+                    mass += weights[k]
+            total += weights[i] * weights[j] * mass / r ** (2.0 * alpha)
+    return total
+
+
 # ---------------------------------------------------------------------------
 # Decomposition identity: 3 * L2 energy = triple sum + residual
 # ---------------------------------------------------------------------------

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_random_measure
+from rieszcap.capacity import _pp_bilinear_at_atoms
 from rieszcap.energies import (
     TruncationWindow,
     ball_mass_double_sum,
@@ -22,6 +25,7 @@ from rieszcap.errors import DomainError
 from rieszcap.kernels import KernelParams
 from rieszcap.measures import DiscreteMeasure, cantor_measure, cantor_spec_for_dimension
 from rieszcap.oracles import (
+    naive_ball_mass_double_sum,
     naive_riesz_l2_energy,
     naive_symmetrization_energy,
     naive_symmetrization_potential_sq,
@@ -72,6 +76,24 @@ SINGLE_PATH_CASES = {
 }
 
 
+@st.composite
+def clustered_cases(draw):
+    """A few tight clusters of atoms, so that close pairs dominate, and an
+    eps that sits exactly on one of the measure's own pair distances."""
+    size = draw(st.integers(3, 10))
+    clusters = draw(st.integers(1, 3))
+    spread = draw(st.sampled_from([0.01, 0.05, 0.2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centers = rng.uniform(-1.0, 1.0, size=(clusters, 2))
+    atoms = centers[np.arange(size) % clusters] + rng.uniform(-spread, spread, (size, 2))
+    gaps = np.linalg.norm(atoms[:, None, :] - atoms[None, :, :], axis=2)
+    assume(gaps[np.triu_indices(size, 1)].min() > 1e-3)
+    mu = DiscreteMeasure(atoms, rng.uniform(0.3, 1.7, size))
+    distances = np.unique(mu.distance_matrix()[np.triu_indices(size, 1)])
+    eps = float(distances[draw(st.integers(0, len(distances) - 1))])
+    return mu, eps, draw(st.sampled_from([0.25, 0.5, 0.75]))
+
+
 class TestTruncationWindow:
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -115,6 +137,14 @@ class TestSymmetrizationEnergy:
             assert got == 0.0
         else:
             assert got == pytest.approx(want, rel=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(clustered_cases())
+    def test_clustered_matches_naive(self, case):
+        mu, eps, alpha = case
+        got = symmetrization_energy(mu, KernelParams(alpha, 2), TruncationWindow(eps))
+        want = naive_symmetrization_energy(mu, alpha, eps)
+        assert np.allclose(got, want, rtol=1e-11, atol=1e-14)
 
     def test_monotone_nonincreasing_in_eps(self, rng):
         mu = make_random_measure(rng, 10)
@@ -247,6 +277,33 @@ class TestPointwisePotential:
         got = symmetrization_potentials_sq_at_atoms(mu, P2, TruncationWindow(eps))
         want = [naive_symmetrization_potential_sq(mu, x, 0.5, eps) for x in mu.atoms]
         assert np.allclose(got, want, rtol=1e-11, atol=1e-14)
+        if case == "cancelling":
+            assert got.tolist() == [0.0] * mu.size
+
+    @settings(max_examples=100, deadline=None)
+    @given(clustered_cases())
+    def test_batched_clustered_matches_naive(self, case):
+        mu, eps, alpha = case
+        got = symmetrization_potentials_sq_at_atoms(
+            mu, KernelParams(alpha, 2), TruncationWindow(eps)
+        )
+        want = [naive_symmetrization_potential_sq(mu, x, alpha, eps) for x in mu.atoms]
+        assert np.allclose(got, want, rtol=1e-11, atol=1e-14)
+
+    @pytest.mark.parametrize("case", ["random", "cantor-depth-3"])
+    def test_batched_matches_refine_bilinear(self, rng, case):
+        # The refine step's per-center loop sums the same double sum with
+        # pair fields and masked Gram matrices, sharing no completed square.
+        if case == "random":
+            mu, eps = make_random_measure(rng, 16), 0.4
+        else:
+            mu = cantor_measure(cantor_spec_for_dimension(2, 0.75, 3))
+            eps = 32.0 * mu.delta
+        assert 0 < _close_pair_count(mu, eps) <= mu.size**2 // 4
+        window = TruncationWindow(eps)
+        got = symmetrization_potentials_sq_at_atoms(mu, P2, window)
+        want = _pp_bilinear_at_atoms(mu, P2, window, mu.weights)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_alpha_domain(self, random_measure):
         with pytest.raises(DomainError):
@@ -299,6 +356,21 @@ class TestDoubleSum:
     def test_eps_excludes_far_pairs(self):
         mu = DiscreteMeasure([[0.0], [1.0]], np.ones(2), delta=0.5)
         assert ball_mass_double_sum(mu, P1, TruncationWindow(2.0)) == 0.0
+
+    @pytest.mark.parametrize("case", ["random", "tie-heavy-cantor"])
+    def test_matches_naive(self, rng, case):
+        if case == "random":
+            mu = make_random_measure(rng, 14)
+            cutoffs = (0.02, 0.6)
+        else:
+            # Contraction ratio 0.5: a translated 8 x 8 grid, where many
+            # distances from an atom tie and closed balls take whole groups.
+            grid = cantor_measure(cantor_spec_for_dimension(2, 2.0, 3)).translated([0.1, 0.3])
+            mu = grid.with_weights(rng.uniform(0.3, 1.7, grid.size))
+            cutoffs = (mu.delta, 2.5 * mu.delta)
+        for eps in cutoffs:
+            got = ball_mass_double_sum(mu, P2, TruncationWindow(eps))
+            assert got == pytest.approx(naive_ball_mass_double_sum(mu, 0.5, eps), rel=1e-12)
 
 
 class TestEnergyReport:
