@@ -347,7 +347,7 @@ def _pp_bilinear_at_atoms(mu, params, window, left) -> np.ndarray:
     lcoef = np.where(vis, left[None, :], 0.0)
     rcoef = np.where(vis, w[None, :], 0.0)
     for m in range(mu.size):
-        kernels = _kernel_rows(mu, params.alpha, m, m + 1)[0]  # k(x_j - x_m)
+        kernels = _kernel_rows(mu, params.alpha, eps, m, m + 1)[0]  # k(x_j - x_m)
         lc = lcoef[m]
         rc = rcoef[m]
         gram = (kernels @ kernels.T) * vis

@@ -30,12 +30,15 @@ With v = [d > eps] and K_kj = k_a(x_j - x_k), splitting v_ij into
 sum_k w_k v_ik K_ki . R_k, accumulated in the pass that forms R; T2 reuses
 the diagonal's powers d^(-2 alpha); T3 gathers the close-pair dot products
 pair by pair.  So the squared potentials cost O(N^2 + N P) as well.
+The close-pair dot products are gathered from the kernel rows of the
+transform's row-block pass, so no kernel power is computed twice and
+memory is O(N^2) plus one row block at any P below the dense threshold.
 The subtractions can cancel, so every result carries a certificate: when
 it is at most ``CERTIFICATE_TAU`` times the sum of the absolute terms it
-was computed from, it is recomputed directly from the masked Gram matrix
-(and, for a potential, the cross field) at its center.  When close pairs
-are dense (P > N^2 / 4) every center is computed that way, so memory stays
-O(N^2).
+was computed from (the exact |dot| of every close-pair term among them),
+it is recomputed directly from the masked Gram matrix (and, for a
+potential, the cross field) at its center.  When close pairs are dense
+(P > N^2 / 4) every center is computed that way, so memory stays O(N^2).
 """
 
 from __future__ import annotations
@@ -141,14 +144,14 @@ def _row_block(n_atoms: int, n_dim: int, budget_bytes: int = 32 << 20) -> int:
     return max(1, budget_bytes // max(1, n_atoms * n_dim * 8))
 
 
-def _kernel_rows(mu: DiscreteMeasure, alpha: float, i0: int, i1: int) -> np.ndarray:
-    """K[m, j] = k_a(x_j - x_{i0+m}); rows at zero distance are zeroed."""
+def _kernel_rows(mu: DiscreteMeasure, alpha: float, eps: float, i0: int, i1: int) -> np.ndarray:
+    """K[m, j] = k_a(x_j - x_{i0+m}) where d > eps, and zero where d <= eps."""
     x = mu.atoms
     diffs = x[None, :, :] - x[i0:i1, None, :]
     d = mu.distance_matrix()[i0:i1]
     with np.errstate(divide="ignore"):
         scale = d ** (-(1.0 + alpha))
-    scale[d == 0.0] = 0.0
+    scale[d <= eps] = 0.0
     return diffs * scale[:, :, None]
 
 
@@ -164,9 +167,10 @@ def _kernel_from_point(mu: DiscreteMeasure, x: np.ndarray, alpha: float):
 
 def _close_pairs(mu: DiscreteMeasure, eps: float) -> np.ndarray:
     """Unordered atom pairs (a, b), a < b, with 0 < distance <= eps."""
-    d = mu.distance_matrix()
-    a, b = np.nonzero(np.triu(d <= eps, k=1))
-    return np.stack([a, b], axis=1) if a.size else np.empty((0, 2), dtype=int)
+    # One N x N temporary: the triangle mask of np.triu would add two more.
+    a, b = np.nonzero(mu.distance_matrix() <= eps)
+    upper = a < b
+    return np.stack([a[upper], b[upper]], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -187,32 +191,57 @@ def truncated_riesz_transform(
     return np.einsum("jn,j->n", kernels, wv)
 
 
-def _transform_at_atoms(mu: DiscreteMeasure, alpha: float, eps: float, cross: bool = False):
-    """Truncated transform at every atom, summed in row blocks.
+def _transform_at_atoms(mu: DiscreteMeasure, alpha: float, eps: float, pairs=None,
+                        cross: bool = False):
+    """Truncated transform and close-pair sums at every atom, in row blocks.
 
-    Returns (r, t1, t1_abs) with R_m = sum_j w_j v_mj K[m, j], where
-    K[m, j] = k_a(x_j - x_m) and v = [d > eps].  With ``cross`` set, the
-    same blocks also give T1_i = sum_k w_k v_ki K[k, i] . R_k and the sum of
-    the absolute values of its terms; otherwise both are zero.
+    Returns (r, close, close_abs, s, s_abs, t1, t1_abs).  The kernel rows
+    carry the cutoff: K[m, j] = v_mj k_a(x_j - x_m) with v = [d > eps], and
+    R_m = sum_j w_j K[m, j].  For the unordered close pairs (a, b) in
+    ``pairs``, the same rows give dot_mp = K[m, a] . K[m, b], which vanishes
+    unless m sees both atoms; close_m = 2 sum_p w_a w_b dot_mp, and
+    close_abs_m sums the absolute terms.  With ``cross`` set, the blocks
+    also give s_p = sum_m w_m dot_mp and T1_i = sum_k w_k K[k, i] . R_k,
+    each with the sum of the absolute values of its terms; otherwise these
+    are zero.  A block's rows are sized from N + 2P, for its kernel rows and
+    the two gathered legs, so memory beyond the O(N^2) distance matrix is
+    one row block at any P.  close_abs and s_abs sum the exact |dot_mp|
+    that the certificate needs.
     """
-    d = mu.distance_matrix()
     w = mu.weights
+    a, b = np.empty((2, 0), dtype=int) if pairs is None else pairs.T
+    pair_w = w[a] * w[b]
     r = np.empty((mu.size, mu.n))
+    close = np.empty(mu.size)
+    close_abs = np.empty(mu.size)
+    s = np.zeros(len(a))
+    s_abs = np.zeros(len(a))
     t1 = np.zeros(mu.size)
     t1_abs = np.zeros(mu.size)
-    block = _row_block(mu.size, mu.n)
+    block = _row_block(mu.size + 2 * len(a), mu.n)
     for i0 in range(0, mu.size, block):
         i1 = min(i0 + block, mu.size)
-        kernels = _kernel_rows(mu, alpha, i0, i1)
-        wv = np.where(d[i0:i1] > eps, w[None, :], 0.0)
-        r[i0:i1] = np.einsum("mjn,mj->mn", kernels, wv)
+        kernels = _kernel_rows(mu, alpha, eps, i0, i1)
+        r[i0:i1] = np.einsum("mjn,j->mn", kernels, w)
+        legs = np.take(kernels, a, axis=1)
+        legs *= np.take(kernels, b, axis=1)
+        # A loop over the few components sums faster than einsum does.
+        dot = legs[:, :, 0].copy()
+        for c in range(1, mu.n):
+            dot += legs[:, :, c]
+        close[i0:i1] = 2.0 * (dot @ pair_w)
         if cross:
-            # terms[k, i] = w_k v_ki K[k, i] . R_k over the block's rows k.
+            s += w[i0:i1] @ dot
+        np.abs(dot, out=dot)
+        close_abs[i0:i1] = 2.0 * (dot @ pair_w)
+        if cross:
+            s_abs += w[i0:i1] @ dot
+            # terms[k, i] = w_k K[k, i] . R_k over the block's rows k.
             terms = np.einsum("kin,kn->ki", kernels, r[i0:i1])
-            terms *= np.where(d[i0:i1] > eps, w[i0:i1, None], 0.0)
+            terms *= w[i0:i1, None]
             t1 += terms.sum(axis=0)
             t1_abs += np.abs(terms, out=terms).sum(axis=0)
-    return r, t1, t1_abs
+    return r, close, close_abs, s, s_abs, t1, t1_abs
 
 
 def riesz_transform_at_atoms(
@@ -290,7 +319,7 @@ def _center_sums(mu: DiscreteMeasure, alpha: float, eps: float) -> np.ndarray:
         redo = np.flatnonzero(np.abs(sums) <= CERTIFICATE_TAU * magnitude)
     for m in redo:
         seen = np.flatnonzero((d[m] > eps) & (w > 0.0))
-        kernels = _kernel_rows(mu, alpha, m, m + 1)[0, seen]
+        kernels = _kernel_rows(mu, alpha, eps, m, m + 1)[0, seen]
         sums[m] = _masked_gram_sum(kernels, w[seen], d[np.ix_(seen, seen)] > eps)
     return sums
 
@@ -309,8 +338,11 @@ def _completed_square(mu: DiscreteMeasure, alpha: float, eps: float, cross: bool
         T3_i = sum over close pairs (i, j) of w_j s_ij,
         s_ab = sum_k w_k v_ka v_kb K_ka . K_kb     (the close-pair dots);
 
-    otherwise x is None.  The magnitude adds up the absolute terms of every
-    part that was summed.
+    otherwise x is None.  The close-pair sums and the s_ab come from the
+    kernel rows of ``_transform_at_atoms``, one row block at a time, so the
+    memory beyond the O(N^2) distance and power matrices is one block.  The
+    magnitude adds up the absolute terms of every part that was summed,
+    each close-pair term with its exact |dot|.
     """
     pairs = _close_pairs(mu, eps)
     if len(pairs) > mu.size * mu.size // 4:
@@ -318,37 +350,12 @@ def _completed_square(mu: DiscreteMeasure, alpha: float, eps: float, cross: bool
     a, b = pairs.T
     d = mu.distance_matrix()
     w = mu.weights
-    r, t1, t1_abs = _transform_at_atoms(mu, alpha, eps, cross)
+    r, close, close_abs, s, s_abs, t1, t1_abs = _transform_at_atoms(mu, alpha, eps, pairs, cross)
     sq = np.einsum("mn,mn->m", r, r)
     with np.errstate(divide="ignore"):
         inv = d ** (-2.0 * alpha)
     inv[d <= eps] = 0.0
     diag = inv @ (w * w)
-    close = close_abs = np.zeros(mu.size)
-    s = s_abs = np.zeros(len(pairs))
-    if len(pairs):
-        x = mu.atoms
-        da, db = d[:, a], d[:, b]
-        with np.errstate(divide="ignore"):
-            sa = da ** (-(1.0 + alpha))
-            sb = db ** (-(1.0 + alpha))
-        sa[da == 0.0] = 0.0
-        sb[db == 0.0] = 0.0
-        dot = np.einsum(
-            "mpn,mpn->mp",
-            (x[a][None, :, :] - x[:, None, :]) * sa[:, :, None],
-            (x[b][None, :, :] - x[:, None, :]) * sb[:, :, None],
-        )
-        # In place: the N x P arrays set this path's peak memory.
-        dot *= (da > eps) & (db > eps)
-        pair_w = w[a] * w[b]
-        close = 2.0 * (dot @ pair_w)
-        if cross:
-            s = w @ dot
-        np.abs(dot, out=dot)
-        close_abs = 2.0 * (dot @ pair_w)
-        if cross:
-            s_abs = w @ dot
     gram = sq - diag - close
     magnitude = sq + diag + close_abs
     if not cross:
@@ -482,14 +489,12 @@ def _direct_potential_sq(
 
 def _pair_field(mu: DiscreteMeasure, alpha: float, eps: float, coeffs: np.ndarray) -> np.ndarray:
     """F_k = sum_j coeffs_j sep_jk k_a(x_k - x_j), accumulated over row blocks."""
-    d = mu.distance_matrix()
     out = np.zeros((mu.size, mu.n))
     block = _row_block(mu.size, mu.n)
     for j0 in range(0, mu.size, block):
         j1 = min(j0 + block, mu.size)
-        kernels = _kernel_rows(mu, alpha, j0, j1)  # [j, k] = k(x_k - x_j)
-        mask = np.where(d[j0:j1] > eps, coeffs[j0:j1, None], 0.0)
-        out += np.einsum("jkn,jk->kn", kernels, mask)
+        kernels = _kernel_rows(mu, alpha, eps, j0, j1)  # [j, k] = sep_jk k(x_k - x_j)
+        out += np.einsum("jkn,j->kn", kernels, coeffs[j0:j1])
     return out
 
 
@@ -522,7 +527,7 @@ def symmetrization_potentials_sq_at_atoms(
         redo = np.flatnonzero(np.abs(gram + cross) <= CERTIFICATE_TAU * magnitude)
     d = mu.distance_matrix()
     for i in redo:
-        legs = _kernel_rows(mu, alpha, i, i + 1)[0]
+        legs = _kernel_rows(mu, alpha, eps, i, i + 1)[0]
         gram[i], cross[i] = _direct_potential_sq(mu, legs, d[i], alpha, eps)
     pp = gram + cross
     floor = -_CANCEL_RTOL * (np.abs(gram) + np.abs(cross) + 1e-300)

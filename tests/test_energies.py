@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_random_measure
+from rieszcap import energies
 from rieszcap.capacity import _pp_bilinear_at_atoms
 from rieszcap.energies import (
     TruncationWindow,
@@ -67,6 +71,18 @@ def _wide_cutoff_cantor():
     """n = 2, dimension 0.75, depth 3 Cantor (N = 64) at eps = 256 delta."""
     mu = cantor_measure(cantor_spec_for_dimension(2, 0.75, 3))
     return mu, 256.0 * mu.delta
+
+
+def _close_pair_case(rng, case):
+    """Close pairs below the dense threshold: a 16-atom random cloud at eps
+    0.4, or the dim-0.75 depth-3 Cantor (N = 64) at eps = 32 delta."""
+    if case == "random":
+        mu, eps = make_random_measure(rng, 16), 0.4
+    else:
+        mu = cantor_measure(cantor_spec_for_dimension(2, 0.75, 3))
+        eps = 32.0 * mu.delta
+    assert 0 < _close_pair_count(mu, eps) <= mu.size**2 // 4
+    return mu, eps
 
 
 SINGLE_PATH_CASES = {
@@ -294,12 +310,7 @@ class TestPointwisePotential:
     def test_batched_matches_refine_bilinear(self, rng, case):
         # The refine step's per-center loop sums the same double sum with
         # pair fields and masked Gram matrices, sharing no completed square.
-        if case == "random":
-            mu, eps = make_random_measure(rng, 16), 0.4
-        else:
-            mu = cantor_measure(cantor_spec_for_dimension(2, 0.75, 3))
-            eps = 32.0 * mu.delta
-        assert 0 < _close_pair_count(mu, eps) <= mu.size**2 // 4
+        mu, eps = _close_pair_case(rng, case)
         window = TruncationWindow(eps)
         got = symmetrization_potentials_sq_at_atoms(mu, P2, window)
         want = _pp_bilinear_at_atoms(mu, P2, window, mu.weights)
@@ -310,6 +321,73 @@ class TestPointwisePotential:
             symmetrization_potential_sq(
                 random_measure, [0.0, 0.0], KernelParams(1.2, 2), TruncationWindow(0.1)
             )
+
+
+class TestRowBlocks:
+    """The completed square's close-pair sums are accumulated over row blocks
+    of centers; blocks of one and three rows split every pair's centers."""
+
+    @pytest.mark.parametrize("case", ["random", "cantor-depth-3"])
+    def test_small_blocks_match_default_and_naive(self, rng, monkeypatch, case):
+        mu, eps = _close_pair_case(rng, case)
+        window = TruncationWindow(eps)
+        # The certificate recomputes no center here, so every value below
+        # comes from the blocked sums.
+        gram, cross, magnitude = energies._completed_square(mu, 0.5, eps, cross=True)
+        assert np.all(np.abs(gram + cross) > energies.CERTIFICATE_TAU * magnitude)
+        energy = symmetrization_energy(mu, P2, window)
+        pp = symmetrization_potentials_sq_at_atoms(mu, P2, window)
+        naive_pp = [naive_symmetrization_potential_sq(mu, x, 0.5, eps) for x in mu.atoms]
+        # Each ordered triple is summed once around each of its atoms.
+        naive_energy = float(np.dot(mu.weights, naive_pp))
+        for rows in (1, 3):
+            monkeypatch.setattr(energies, "_row_block", lambda *args: rows)
+            # The magnitudes only decide which centers are recomputed.
+            blocked_magnitude = energies._completed_square(mu, 0.5, eps, cross=True)[2]
+            assert np.allclose(blocked_magnitude, magnitude, rtol=1e-12, atol=0.0)
+            blocked_energy = symmetrization_energy(mu, P2, window)
+            blocked_pp = symmetrization_potentials_sq_at_atoms(mu, P2, window)
+            assert blocked_energy == pytest.approx(energy, rel=1e-12)
+            assert np.allclose(blocked_pp, pp, rtol=1e-12, atol=0.0)
+            assert blocked_energy == pytest.approx(naive_energy, rel=1e-12)
+            assert np.allclose(blocked_pp, naive_pp, rtol=1e-11, atol=1e-14)
+
+
+_CAPPED_RUN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1200 << 20, 1200 << 20))
+import numpy as np
+from rieszcap import energies
+from rieszcap.kernels import KernelParams
+from rieszcap.measures import cantor_measure, cantor_spec_for_dimension
+mu = cantor_measure(cantor_spec_for_dimension(2, 0.75, 5))
+window = energies.TruncationWindow(256.0 * mu.delta)
+params = KernelParams(0.5, 2)
+np.save(sys.argv[1], np.concatenate([
+    [energies.symmetrization_energy(mu, params, window)],
+    energies.symmetrization_potentials_sq_at_atoms(mu, params, window),
+]))
+"""
+
+
+def test_wide_cutoff_fits_under_address_cap(tmp_path):
+    # n = 2, dimension 0.75, depth 5 Cantor (N = 1024) at eps = 256 delta has
+    # P = 23712 close pairs; N x P x n leg arrays (370 MiB each) do not fit
+    # under a 1200 MiB address space, one row block per pass does.
+    mu = cantor_measure(cantor_spec_for_dimension(2, 0.75, 5))
+    window = TruncationWindow(256.0 * mu.delta)
+    assert _close_pair_count(mu, window.eps) == 23712
+    out = tmp_path / "values.npy"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(energies.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_RUN, str(out)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    capped = np.load(out)
+    assert np.all(np.isfinite(capped))
+    assert capped[0] == pytest.approx(symmetrization_energy(mu, P2, window), rel=1e-12)
+    pp = symmetrization_potentials_sq_at_atoms(mu, P2, window)
+    assert np.allclose(capped[1:], pp, rtol=1e-12, atol=0.0)
 
 
 class TestCombinedEnergy:
