@@ -12,7 +12,9 @@ dual exponent is 2, making the objective a smooth cubic polynomial of the
 weights, whereas the combined energy carries a maximal function and square
 roots.  The two energies are comparable, so minimizers are interchangeable
 up to constants; the combined energy is evaluated on the Wolff-optimal
-witness (and optionally refined by a few subgradient steps).
+witness (and optionally refined by a few subgradient steps).  A
+comparability report runs the optimizer once: its Wolff proxy and its
+energy proxy share that one witness.
 """
 
 from __future__ import annotations
@@ -267,9 +269,14 @@ def estimate_positive_capacity(
     energy itself starting from the better of the two.
     """
     params.require_fractional()
-    uniform = support.with_weights(np.full(support.size, 1.0 / support.size))
     exps = WolffExponents.matched(params)
     wolff_est = minimize_wolff_energy(support, exps, window, cfg)
+    return _energy_proxy(support, params, window, wolff_est, cfg, refine)
+
+
+def _energy_proxy(support, params, window, wolff_est, cfg, refine=False) -> CapacityEstimate:
+    """The combined-energy proxy on the uniform weights and a Wolff witness."""
+    uniform = support.with_weights(np.full(support.size, 1.0 / support.size))
     candidates = [uniform, wolff_est.witness]
     energies = [maximal_potential_energy(m, params, window) for m in candidates]
     diag = {
@@ -491,11 +498,16 @@ def comparability_report(
     window: TruncationWindow,
     cfg: OptimizerConfig = OptimizerConfig(),
 ) -> ComparabilityReport:
-    """Evaluate both capacity proxies on the same support and window."""
+    """Evaluate both capacity proxies on the same support and window.
+
+    Both proxies share one Wolff-optimal witness: the optimizer runs once,
+    and the energy proxy is the one ``estimate_positive_capacity`` returns.
+    """
     params = KernelParams(alpha, support.n)
+    params.require_fractional()
     exps = WolffExponents.matched(params)
     wolff_est = minimize_wolff_energy(support, exps, window, cfg)
-    energy_est = estimate_positive_capacity(support, params, window, cfg)
+    energy_est = _energy_proxy(support, params, window, wolff_est, cfg)
     return ComparabilityReport(energy_proxy=energy_est, wolff_proxy=wolff_est)
 
 

@@ -185,6 +185,24 @@ class DepthTrend:
     wolff_energies: tuple
     proxies: tuple
 
+    @classmethod
+    def from_points(cls, points) -> "DepthTrend":
+        """The trend through sweep points of one alpha and dimension, in the
+        order given."""
+        points = list(points)
+        if not points:
+            raise DomainError("a depth trend needs at least one sweep point")
+        first = points[0]
+        if any((p.alpha, p.dimension) != (first.alpha, first.dimension) for p in points):
+            raise DomainError("sweep points of a depth trend share alpha and dimension")
+        return cls(
+            alpha=first.alpha,
+            dimension=first.dimension,
+            depths=tuple(p.depth for p in points),
+            wolff_energies=tuple(p.wolff_energy for p in points),
+            proxies=tuple(p.energy_proxy for p in points),
+        )
+
     def wolff_fit(self) -> tuple:
         """(slope, intercept, r2) of Wolff energy against depth."""
         return linear_fit(self.depths, self.wolff_energies)
@@ -211,13 +229,8 @@ def depth_trend(
     affinely with depth and the proxy decays toward zero.  Above the
     critical dimension the energy converges and the proxy stabilizes.
     """
-    points = [sweep_point(alpha, dim_factor * alpha, m, n=n, cfg=cfg) for m in depths]
-    return DepthTrend(
-        alpha=alpha,
-        dimension=dim_factor * alpha,
-        depths=tuple(depths),
-        wolff_energies=tuple(p.wolff_energy for p in points),
-        proxies=tuple(p.energy_proxy for p in points),
+    return DepthTrend.from_points(
+        [sweep_point(alpha, dim_factor * alpha, m, n=n, cfg=cfg) for m in depths]
     )
 
 

@@ -6,6 +6,11 @@ the vectorized energy routines it cross-checks.  Keep it that way: reusing
 the fast paths would void the independence these anchors exist to provide.
 The one exception is the decomposition identity, which relates two
 production functionals through a residual that is enumerated here by loops.
+
+The eps tests between atoms read the measure's own distance matrix, so a
+distance that ties eps is decided on the same rounded value as in the
+vectorized routines; a Python sum of squares can differ from it in the
+last bit.
 """
 
 from __future__ import annotations
@@ -69,24 +74,37 @@ def _atom_rows(mu: DiscreteMeasure):
 
 
 def naive_symmetrization_energy(mu: DiscreteMeasure, alpha: float, eps: float) -> float:
-    """Triple loop over ALL ordered atom triples with the eps tests inline."""
+    """Triple loop over ALL ordered atom triples with the eps tests inline.
+
+    Each separated pair's kernel k_a(x_j - x_i) is computed once, by the same
+    scalar arithmetic as ``_sym_raw``, whose three-term sum is spelled out.
+    """
     atoms, weights = _atom_rows(mu)
+    d = mu.distance_matrix().tolist()
     m = len(atoms)
+    kern = [
+        [_kernel(atoms[i], atoms[j], alpha) if d[i][j] > eps else None for j in range(m)]
+        for i in range(m)
+    ]
     total = 0.0
     for i in range(m):
         for j in range(m):
-            if j == i or _dist(atoms[i], atoms[j]) <= eps:
+            if j == i or d[i][j] <= eps:
                 continue
             for k in range(m):
                 if k == i or k == j:
                     continue
-                if _dist(atoms[i], atoms[k]) <= eps or _dist(atoms[j], atoms[k]) <= eps:
+                if d[i][k] <= eps or d[j][k] <= eps:
                     continue
                 total += (
                     weights[i]
                     * weights[j]
                     * weights[k]
-                    * _sym_raw(atoms[i], atoms[j], atoms[k], alpha)
+                    * (
+                        _dot(kern[i][j], kern[i][k])
+                        + _dot(kern[j][k], kern[j][i])
+                        + _dot(kern[k][i], kern[k][j])
+                    )
                 )
     return total
 
@@ -94,13 +112,14 @@ def naive_symmetrization_energy(mu: DiscreteMeasure, alpha: float, eps: float) -
 def naive_riesz_l2_energy(mu: DiscreteMeasure, alpha: float, eps: float) -> float:
     """Double loop: weighted squared norm of the truncated transform at atoms."""
     atoms, weights = _atom_rows(mu)
+    d = mu.distance_matrix().tolist()
     m = len(atoms)
     n = len(atoms[0])
     total = 0.0
     for i in range(m):
         acc = [0.0] * n
         for j in range(m):
-            if j == i or _dist(atoms[i], atoms[j]) <= eps:
+            if j == i or d[i][j] <= eps:
                 continue
             k = _kernel(atoms[i], atoms[j], alpha)
             for c in range(n):
@@ -112,18 +131,24 @@ def naive_riesz_l2_energy(mu: DiscreteMeasure, alpha: float, eps: float) -> floa
 def naive_symmetrization_potential_sq(
     mu: DiscreteMeasure, x, alpha: float, eps: float
 ) -> float:
-    """Ordered double sum of the full three-point symmetrization around x."""
+    """Ordered double sum of the full three-point symmetrization around x.
+
+    When x is an atom, its eps tests read that atom's row of the distance
+    matrix, like the tests between atoms.
+    """
     atoms, weights = _atom_rows(mu)
+    d = mu.distance_matrix().tolist()
     p = tuple(float(v) for v in np.asarray(x, dtype=float))
+    to_p = d[atoms.index(p)] if p in atoms else [_dist(p, a) for a in atoms]
     m = len(atoms)
     total = 0.0
     for j in range(m):
-        if _dist(p, atoms[j]) <= eps:
+        if to_p[j] <= eps:
             continue
         for k in range(m):
             if k == j:
                 continue
-            if _dist(p, atoms[k]) <= eps or _dist(atoms[j], atoms[k]) <= eps:
+            if to_p[k] <= eps or d[j][k] <= eps:
                 continue
             total += weights[j] * weights[k] * _sym_raw(p, atoms[j], atoms[k], alpha)
     return total

@@ -404,30 +404,24 @@ def suite_scaling(seed: int = 0) -> SuiteResult:
             exps = WolffExponents.matched(params)
             mu = random_measure(rng, _atom_count(rng, 12))
             window = TruncationWindow(0.05)
+            report = cap.comparability_report(mu, alpha, window)
             base = {
                 "sym": symmetrization_energy(mu, params, window),
                 "wolff": wolff_energy(mu, exps, window),
                 "combined": maximal_potential_energy(mu, params, window),
-                "energy_proxy": cap.estimate_positive_capacity(mu, params, window).value,
-                "wolff_proxy": cap.minimize_wolff_energy(mu, exps, window).value,
+                "energy_proxy": report.energy_proxy.value,
+                "wolff_proxy": report.wolff_proxy.value,
             }
             for lam in (0.5, 2.0, 10.0):
                 mul = mu.dilated(lam)
                 wl = window.scaled(lam)
+                dilated = cap.comparability_report(mul, alpha, wl)
                 checks = [
                     ("sym", symmetrization_energy(mul, params, wl), -2.0 * alpha),
                     ("wolff", wolff_energy(mul, exps, wl), -2.0 * alpha),
                     ("combined", maximal_potential_energy(mul, params, wl), -alpha),
-                    (
-                        "energy_proxy",
-                        cap.estimate_positive_capacity(mul, params, wl).value,
-                        alpha,
-                    ),
-                    (
-                        "wolff_proxy",
-                        cap.minimize_wolff_energy(mul, exps, wl).value,
-                        alpha,
-                    ),
+                    ("energy_proxy", dilated.energy_proxy.value, alpha),
+                    ("wolff_proxy", dilated.wolff_proxy.value, alpha),
                 ]
                 for label, scaled, power in checks:
                     want = base[label] * lam**power

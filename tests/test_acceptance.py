@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-The heavy Cantor sweeps are computed once per session and shared.  The sweep
-is written as CSV to a temporary directory and checked cell by cell against
-the tracked archive results/comparability_sweep.csv, which no test rewrites.
+The heavy Cantor sweep is computed once per session and shared; the depth
+trends take their depth 2-5 cells from it.  The sweep is written as CSV to a
+temporary directory and checked cell by cell against the tracked archive
+results/comparability_sweep.csv, which no test rewrites.
 """
 
 import csv
@@ -19,9 +20,10 @@ from rieszcap.defaults import THRESHOLDS
 from rieszcap.energies import TruncationWindow
 from rieszcap.experiments import (
     SWEEP_CSV_COLUMNS,
+    DepthTrend,
     comparability_sweep,
-    depth_trend,
     ratio_window,
+    sweep_point,
 )
 from rieszcap.measures import cantor_measure, cantor_spec_for_dimension
 from rieszcap.verification import (
@@ -59,11 +61,18 @@ def sweep_points():
 
 
 @pytest.fixture(scope="session")
-def trends():
+def trends(sweep_points):
+    """depth_trend(alpha, factor) at factors 1.0 and 1.5: depths 2-5 are the
+    sweep's own cells, depth 1 is evaluated here."""
     out = {}
     for alpha in ALPHAS:
-        out[(alpha, 1.0)] = depth_trend(alpha, 1.0)
-        out[(alpha, 1.5)] = depth_trend(alpha, 1.5)
+        for factor in (1.0, 1.5):
+            dim = factor * alpha
+            cells = {
+                p.depth: p for p in sweep_points if (p.alpha, p.dimension) == (alpha, dim)
+            }
+            cells[1] = sweep_point(alpha, dim, 1)
+            out[(alpha, factor)] = DepthTrend.from_points(cells[m] for m in range(1, 6))
     return out
 
 

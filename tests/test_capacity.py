@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_random_measure
+from rieszcap import capacity
 from rieszcap.capacity import (
     METHOD_ADMISSIBLE,
     METHOD_ENERGY,
@@ -31,7 +33,7 @@ from rieszcap.energies import (
     wolff_potentials_at_atoms,
 )
 from rieszcap.errors import DomainError, EmptyRestrictionError
-from rieszcap.experiments import semiadditivity_probe
+from rieszcap.experiments import DepthTrend, depth_trend, semiadditivity_probe, sweep_point
 from rieszcap.kernels import KernelParams
 from rieszcap.measures import DiscreteMeasure, cantor_measure, cantor_spec_for_dimension
 from rieszcap.oracles import wolff_cubic_form
@@ -343,6 +345,29 @@ class TestComparabilityAndMaps:
         rep = comparability_report(mu, 0.5, TruncationWindow(1.0))
         assert math.isfinite(rep.ratio) and rep.ratio > 0.0
 
+    @SUPPORTS
+    def test_report_runs_optimizer_once(self, rng, monkeypatch, make_support):
+        mu, window = make_support(rng)
+        calls = []
+        optimize = capacity.minimize_wolff_energy
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return optimize(*args, **kwargs)
+
+        monkeypatch.setattr(capacity, "minimize_wolff_energy", counted)
+        rep = comparability_report(mu, 0.5, window)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        alone = estimate_positive_capacity(mu, P2, window)
+        got = rep.energy_proxy
+        assert (got.value, got.method) == (alone.value, alone.method)
+        assert np.array_equal(got.witness.weights, alone.witness.weights)
+        assert got.diagnostics == alone.diagnostics
+        wolff = minimize_wolff_energy(mu, MATCHED, window)
+        assert rep.wolff_proxy.value == wolff.value
+        assert np.array_equal(rep.wolff_proxy.witness.weights, wolff.witness.weights)
+
     def test_dilation_leaves_ratio_fixed(self, rng):
         mu = make_random_measure(rng, 9)
         window = TruncationWindow(0.07)
@@ -380,3 +405,21 @@ class TestComparabilityAndMaps:
         assert out["union"] <= THRESHOLDS["semiadditivity_factor"] * (
             out["part_1"] + out["part_2"]
         )
+
+
+class TestDepthTrend:
+    def test_depth_trend_is_from_points(self):
+        trend = depth_trend(0.5, 1.5, depths=(1, 2, 3))
+        points = [sweep_point(0.5, 1.5 * 0.5, m) for m in (1, 2, 3)]
+        want = DepthTrend.from_points(points)
+        for f in dataclasses.fields(DepthTrend):
+            assert getattr(trend, f.name) == getattr(want, f.name), f.name
+        assert trend.depths == (1, 2, 3)
+        assert trend.proxies == tuple(p.energy_proxy for p in points)
+
+    def test_from_points_rejects_mixed_cells(self):
+        points = [sweep_point(a, a, 1) for a in (0.25, 0.5)]
+        with pytest.raises(DomainError):
+            DepthTrend.from_points(points)
+        with pytest.raises(DomainError):
+            DepthTrend.from_points([])

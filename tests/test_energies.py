@@ -29,6 +29,7 @@ from rieszcap.errors import DomainError
 from rieszcap.kernels import KernelParams
 from rieszcap.measures import DiscreteMeasure, cantor_measure, cantor_spec_for_dimension
 from rieszcap.oracles import (
+    _dist,
     naive_ball_mass_double_sum,
     naive_riesz_l2_energy,
     naive_symmetrization_energy,
@@ -108,6 +109,31 @@ def clustered_cases(draw):
     distances = np.unique(mu.distance_matrix()[np.triu_indices(size, 1)])
     eps = float(distances[draw(st.integers(0, len(distances) - 1))])
     return mu, eps, draw(st.sampled_from([0.25, 0.5, 0.75]))
+
+
+class TestCutoffTieOracles:
+    """eps equal to a matrix distance that a Python sum of squares rounds
+    one ulp higher: the oracles must decide the tie as the matrix does."""
+
+    def _tie_case(self):
+        rng = np.random.default_rng(108)
+        centers = rng.uniform(-1.0, 1.0, size=(2, 2))
+        atoms = centers[np.arange(8) % 2] + rng.uniform(-0.01, 0.01, (8, 2))
+        mu = DiscreteMeasure(atoms, rng.uniform(0.3, 1.7, 8))
+        eps = float(mu.distance_matrix()[4, 6])
+        assert _dist(tuple(mu.atoms[4]), tuple(mu.atoms[6])) > eps
+        return mu, eps
+
+    def test_matches_naive_at_matrix_tie(self):
+        mu, eps = self._tie_case()
+        window = TruncationWindow(eps)
+        got = symmetrization_energy(mu, P2, window)
+        assert got == pytest.approx(naive_symmetrization_energy(mu, 0.5, eps), rel=1e-11)
+        got = riesz_l2_energy(mu, P2, eps)
+        assert got == pytest.approx(naive_riesz_l2_energy(mu, 0.5, eps), rel=1e-11)
+        got = symmetrization_potentials_sq_at_atoms(mu, P2, window)
+        want = [naive_symmetrization_potential_sq(mu, x, 0.5, eps) for x in mu.atoms]
+        assert np.allclose(got, want, rtol=1e-11, atol=1e-14)
 
 
 class TestTruncationWindow:
