@@ -71,7 +71,6 @@ from .measures import (
     ball_profile,
     cantor_measure,
     cantor_spec_for_dimension,
-    growth_constant,
     load_measure,
     maximal_at_atoms,
     maximal_function,

@@ -30,6 +30,8 @@ from .energies import (
     WolffExponents,
     _kernel_rows,
     _pair_field,
+    _wolff_beta,
+    _wolff_drops,
     maximal_potential_energy,
     symmetrization_potentials_sq_at_atoms,
     truncated_riesz_transform,
@@ -40,7 +42,7 @@ from .errors import (
     UnsupportedExponentError,
 )
 from .kernels import KernelParams
-from .measures import DiscreteMeasure, _sorted_rows, measure_to_json
+from .measures import DiscreteMeasure, _row_order, _sorted_rows, measure_to_json
 
 METHOD_ENERGY = "max-potential-energy"
 METHOD_WOLFF = "wolff-energy"
@@ -112,9 +114,10 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
 class _WolffObjective:
     """E(w) = sum_i w_i integral (m_i(r; w)/r^trace)^e dr/r on a fixed support.
 
-    Precomputes, per atom row, the sorted distance order and the flat index
-    that gathers per-piece sums back to atoms.  ``energy`` costs one O(N^2)
-    prefix-sum pass and keeps that pass until the next call;
+    Shares the support's cached row order and precomputes, per atom row,
+    the piece drops and the flat index that gathers per-piece sums back to
+    atoms.  ``energy`` costs one O(N^2) prefix-sum pass and keeps that pass
+    until the next call;
     ``energy_and_gradient`` at the same weights reuses it (as ``_descend``
     does on every accepted step) and adds only the suffix-sum pass and the
     gather.  Gradient requires e >= 1 (p <= 2) so the integrand stays
@@ -123,11 +126,7 @@ class _WolffObjective:
 
     def __init__(self, support: DiscreteMeasure, exps: WolffExponents,
                  window: TruncationWindow):
-        beta = exps.trace * exps.dual_exp
-        if beta <= 0.0:
-            raise UnsupportedExponentError(
-                f"radial tail diverges: trace*dual_exp = {beta} <= 0"
-            )
+        beta = _wolff_beta(exps)
         if exps.dual_exp < 1.0:
             raise UnsupportedExponentError(
                 "weight optimization needs dual_exp >= 1 (i.e. p <= 2); "
@@ -136,7 +135,7 @@ class _WolffObjective:
         self.exps = exps
         self.beta = beta
         size = support.size
-        self.order, sorted_d = _sorted_rows(support)
+        self.order = _row_order(support)
         # flat[i, m] is the position of atom m's piece in row i of the
         # row-reversed suffix sums, flattened: i * N + (N - 1 - rank).
         self.flat = np.empty_like(self.order)
@@ -144,13 +143,9 @@ class _WolffObjective:
             self.flat, self.order, np.arange(size * size).reshape(size, size)[:, ::-1],
             axis=1,
         )
-        lo = np.clip(sorted_d, window.eps, window.outer)
-        hi = np.concatenate(
-            [sorted_d[:, 1:], np.full((support.size, 1), math.inf)], axis=1
-        )
-        hi = np.clip(hi, window.eps, window.outer)
-        with np.errstate(divide="ignore"):
-            self.drop = (lo ** (-beta) - np.where(np.isinf(hi), 0.0, hi ** (-beta))) / beta
+        self.drop = np.empty((size, size))
+        for rows, _, sorted_d in _sorted_rows(support):
+            self.drop[rows] = _wolff_drops(sorted_d, beta, window) / beta
         self._last = None  # (w, cum, pot) of the latest energy() call
 
     def _prefix(self, w: np.ndarray) -> tuple:
@@ -325,17 +320,18 @@ def _combined_subgradient(support, params, window, w) -> np.ndarray:
     """Subgradient of sum_i w_i (M_i + sqrt(pp_i)) in the weights."""
     mu = support.with_weights(w)
     alpha = params.alpha
-    d = mu.distance_matrix()
-    order, sorted_d = _sorted_rows(mu)
-    cum = np.cumsum(mu.weights[order], axis=1)
-    r = np.clip(sorted_d, window.eps, window.outer)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.where((cum > 0.0) & (sorted_d <= window.outer), cum / r**alpha, 0.0)
-    best = np.argmax(vals, axis=1)
-    m_vals = vals[np.arange(mu.size), best]
-    r_star = r[np.arange(mu.size), best]
+    m_vals = np.empty(mu.size)
+    r_star = np.empty(mu.size)
+    for rows, order, sorted_d in _sorted_rows(mu):
+        cum = np.cumsum(mu.weights[order], axis=1)
+        r = np.clip(sorted_d, window.eps, window.outer)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = np.where((cum > 0.0) & (sorted_d <= window.outer), cum / r**alpha, 0.0)
+        best = np.argmax(vals, axis=1)[:, None]
+        m_vals[rows] = np.take_along_axis(vals, best, axis=1)[:, 0]
+        r_star[rows] = np.take_along_axis(r, best, axis=1)[:, 0]
     # dM_i/dw_m = [d_im <= r*_i] / r*_i^alpha at the attaining radius.
-    ind = d <= r_star[:, None]
+    ind = mu.distance_matrix() <= r_star[:, None]
     grad_m_term = m_vals + (mu.weights * (1.0 / r_star**alpha)) @ ind
     pp = symmetrization_potentials_sq_at_atoms(mu, params, window)
     root = np.sqrt(pp)

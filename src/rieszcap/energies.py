@@ -140,8 +140,8 @@ def _check_dims(mu: DiscreteMeasure, params: KernelParams) -> None:
         raise DomainError(f"measure lives in R^{mu.n} but params expect R^{params.n}")
 
 
-def _row_block(n_atoms: int, n_dim: int, budget_bytes: int = 32 << 20) -> int:
-    return max(1, budget_bytes // max(1, n_atoms * n_dim * 8))
+def _row_block(n_atoms: int, n_dim: int) -> int:
+    return max(1, (32 << 20) // max(1, n_atoms * n_dim * 8))
 
 
 def _kernel_rows(mu: DiscreteMeasure, alpha: float, eps: float, i0: int, i1: int) -> np.ndarray:
@@ -381,33 +381,31 @@ def _wolff_beta(exps: WolffExponents) -> float:
     return beta
 
 
-def _wolff_from_steps(radii, masses, exps: WolffExponents, window: TruncationWindow) -> float:
-    """Integrate (m(r)/r^trace)^dual_exp dr/r over [eps, outer] piece by piece.
-
-    ``radii``/``masses`` describe the right-continuous ball-mass step
-    function; between breakpoints the integrand is an exact power of r.
-    """
-    beta = _wolff_beta(exps)
-    e = exps.dual_exp
-    lo = np.clip(radii, window.eps, window.outer)
-    hi = np.concatenate([radii[1:], [math.inf]])
-    hi = np.clip(hi, window.eps, window.outer)
-    with np.errstate(divide="ignore"):
-        drop = lo ** (-beta) - np.where(np.isinf(hi), 0.0, hi ** (-beta))
-    terms = np.where(masses > 0.0, masses, 0.0) ** e * drop / beta
-    return float(terms.sum())
-
-
 def wolff_potential(
     mu: DiscreteMeasure, x, exps: WolffExponents, window: TruncationWindow
 ) -> float:
     """Truncated Wolff potential at x, evaluated in closed form.
 
+    Integrates (m(r)/r^trace)^dual_exp dr/r over [eps, outer] piece by piece:
+    between ball-profile breakpoints the integrand is an exact power of r.
     Monotone nondecreasing as eps decreases; finite for every eps > 0 even
     at atom sites, where the untruncated integral diverges.
     """
+    beta = _wolff_beta(exps)
     prof = ball_profile(mu, x)
-    return _wolff_from_steps(prof.radii, prof.masses, exps, window)
+    drop = _wolff_drops(prof.radii[None, :], beta, window)[0]
+    terms = np.where(prof.masses > 0.0, prof.masses, 0.0) ** exps.dual_exp * drop / beta
+    return float(terms.sum())
+
+
+def _wolff_drops(sorted_d: np.ndarray, beta: float, window: TruncationWindow) -> np.ndarray:
+    """lo^-beta - hi^-beta of every piece [lo, hi) of sorted distance rows,
+    both ends clipped to [eps, outer]; the last piece of a row is unbounded."""
+    lo = np.clip(sorted_d, window.eps, window.outer)
+    hi = np.concatenate([sorted_d[:, 1:], np.full((len(sorted_d), 1), math.inf)], axis=1)
+    hi = np.clip(hi, window.eps, window.outer)
+    with np.errstate(divide="ignore"):
+        return lo ** (-beta) - np.where(np.isinf(hi), 0.0, hi ** (-beta))
 
 
 def wolff_potentials_at_atoms(
@@ -415,15 +413,12 @@ def wolff_potentials_at_atoms(
 ) -> np.ndarray:
     """Vectorized wolff_potential at every atom site."""
     beta = _wolff_beta(exps)
-    e = exps.dual_exp
-    order, sorted_d = _sorted_rows(mu)
-    cum = np.cumsum(mu.weights[order], axis=1)
-    lo = np.clip(sorted_d, window.eps, window.outer)
-    hi = np.concatenate([sorted_d[:, 1:], np.full((mu.size, 1), math.inf)], axis=1)
-    hi = np.clip(hi, window.eps, window.outer)
-    with np.errstate(divide="ignore"):
-        drop = lo ** (-beta) - np.where(np.isinf(hi), 0.0, hi ** (-beta))
-    return (cum**e * drop / beta).sum(axis=1)
+    out = np.empty(mu.size)
+    for rows, order, sorted_d in _sorted_rows(mu):
+        cum = np.cumsum(mu.weights[order], axis=1)
+        drop = _wolff_drops(sorted_d, beta, window)
+        out[rows] = (cum**exps.dual_exp * drop / beta).sum(axis=1)
+    return out
 
 
 def wolff_energy(
@@ -583,12 +578,9 @@ def ball_mass_double_sum(
     """
     _require_alpha_in(params, params.n)
     w = mu.weights
-    order, sorted_d = _sorted_rows(mu)
-    rows = np.empty(mu.size)
-    block = _row_block(mu.size, 1, 8 << 20)
-    for i0 in range(0, mu.size, block):
-        dist = sorted_d[i0 : i0 + block]
-        near = w[order[i0 : i0 + block]]
+    per_row = np.empty(mu.size)
+    for rows, order, dist in _sorted_rows(mu):
+        near = w[order]
         cum = np.cumsum(near, axis=1)
         # The closed ball through a tie group holds all of it: every member
         # takes the cumulative mass at the group's last member, which is the
@@ -599,8 +591,8 @@ def ball_mass_double_sum(
         with np.errstate(divide="ignore"):
             scale = dist ** (-2.0 * params.alpha)
         scale[dist <= window.eps] = 0.0
-        rows[i0 : i0 + block] = np.einsum("ij,ij,ij->i", near, mass, scale)
-    return float(np.dot(w, rows))
+        per_row[rows] = np.einsum("ij,ij,ij->i", near, mass, scale)
+    return float(np.dot(w, per_row))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,11 @@ DEFAULT_ATOM_CAP = 65536
 _GAP_RTOL = 1e-12
 
 # Cache entries that depend on the atoms only, shared by every weight vector.
-_GEOMETRY = ("min_gap", "dist", "diameter")
+_GEOMETRY = ("min_gap", "dist", "order", "diameter")
+
+# Byte budget of one sorted row block (float64): small blocks keep the
+# consumers' temporaries cache-sized and far below the cached N x N order.
+_SORTED_BLOCK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -53,7 +57,9 @@ class DiscreteMeasure:
     weights: np.ndarray
     delta: float = None  # type: ignore[assignment]
     # The support's geometry (``_GEOMETRY``), filled lazily; ``with_weights``
-    # seeds the new measure's cache with it.
+    # seeds the new measure's cache with it.  The distance matrix and the
+    # intp row order each take 8 N^2 bytes; ball-profile consumers add one
+    # sorted row block (``_sorted_rows``) on top.
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -158,9 +164,9 @@ class DiscreteMeasure:
     def with_weights(self, weights) -> "DiscreteMeasure":
         """Same support with new weights.
 
-        The support's cached geometry (min gap, distance matrix, diameter)
-        carries over to the new measure in a cache of its own; the weights
-        are checked as in the constructor.
+        The support's cached geometry (min gap, distance matrix, row order,
+        diameter) carries over to the new measure in a cache of its own;
+        the weights are checked as in the constructor.
         """
         geometry = {k: self._cache[k] for k in _GEOMETRY if k in self._cache}
         return DiscreteMeasure(self.atoms, weights, self.delta, geometry)
@@ -343,36 +349,43 @@ def maximal_function(
     """
     if alpha <= 0.0:
         raise DomainError(f"alpha must be positive, got {alpha}")
-    prof = ball_profile(mu, x)
-    return _maximal_from_steps(prof.radii, prof.masses, alpha, r_min, r_max)
-
-
-def _maximal_from_steps(radii, masses, alpha, r_min, r_max) -> float:
     if r_max < r_min:
         return 0.0
-    radii = np.asarray(radii)
-    masses = np.asarray(masses)
-    keep = radii <= r_max
+    prof = ball_profile(mu, x)
+    keep = prof.radii <= r_max
     if not keep.any():
         # Every atom lies beyond r_max, so all admissible balls are empty.
         return 0.0
-    r = np.maximum(radii[keep], r_min)
-    m = masses[keep]
+    r = np.maximum(prof.radii[keep], r_min)
+    m = prof.masses[keep]
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = np.where(m > 0.0, m / r**alpha, 0.0)
     return float(np.max(vals))
 
 
-def _sorted_rows(mu: DiscreteMeasure) -> tuple:
-    """Stable per-row order of the distance matrix and the sorted rows.
+def _row_order(mu: DiscreteMeasure) -> np.ndarray:
+    """Stable per-row order of the distance matrix, cached and read-only:
+    row i lists the atoms by distance from atom i, ties in index order."""
+    if "order" not in mu._cache:
+        order = np.argsort(mu.distance_matrix(), axis=1, kind="stable")
+        order.setflags(write=False)
+        mu._cache["order"] = order
+    return mu._cache["order"]
 
-    Row i of the sorted distances lists the atoms by distance from atom i:
-    the breakpoints of every atom's ball profile at once.  Not cached: at
-    N = 4096 the pair is 256 MB.
+
+def _sorted_rows(mu: DiscreteMeasure):
+    """Yield (rows, order, sorted distances) over blocks of atom rows.
+
+    ``rows`` is a slice of atoms; ``order`` is its block of the cached row
+    order and ``sorted distances`` the matching distance rows in that order.
+    Blocks hold whole rows, so a tie group never straddles two blocks.
     """
     d = mu.distance_matrix()
-    order = np.argsort(d, axis=1, kind="stable")
-    return order, np.take_along_axis(d, order, axis=1)
+    order = _row_order(mu)
+    block = max(1, _SORTED_BLOCK_BYTES // (8 * mu.size))
+    for i0 in range(0, mu.size, block):
+        rows = slice(i0, i0 + block)
+        yield rows, order[rows], np.take_along_axis(d[rows], order[rows], axis=1)
 
 
 def maximal_at_atoms(
@@ -381,25 +394,15 @@ def maximal_at_atoms(
     """Vectorized maximal_function evaluated at every atom site."""
     if alpha <= 0.0:
         raise DomainError(f"alpha must be positive, got {alpha}")
-    order, sorted_d = _sorted_rows(mu)
-    cum = np.cumsum(mu.weights[order], axis=1)
-    r = np.maximum(sorted_d, r_min)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.where((cum > 0.0) & (sorted_d <= r_max), cum / r**alpha, 0.0)
-    return np.max(vals, axis=1)
-
-
-def growth_constant(mu: DiscreteMeasure, alpha: float, sample_points) -> float:
-    """Best observable growth constant sup mu(B(x, r)) / r^alpha at resolution delta.
-
-    The supremum runs over the supplied sample points and radii r >= delta.
-    Callers should include every atom in the sample set; a coarse exterior
-    grid sharpens the estimate.
-    """
-    pts = list(sample_points)
-    if not pts:
-        raise DomainError("sample point set is empty")
-    return max(maximal_function(mu, x, alpha, r_min=mu.delta) for x in pts)
+    out = np.empty(mu.size)
+    for rows, order, sorted_d in _sorted_rows(mu):
+        cum = np.cumsum(mu.weights[order], axis=1)
+        r = np.maximum(sorted_d, r_min)
+        # Only radii in [r_min, r_max] are admissible: none when r_max < r_min.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = np.where((cum > 0.0) & (r <= r_max), cum / r**alpha, 0.0)
+        out[rows] = np.max(vals, axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------

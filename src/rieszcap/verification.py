@@ -34,7 +34,7 @@ from .energies import (
     wolff_potential,
 )
 from .errors import DomainError
-from .experiments import comparability_sweep, depth_trend, ratio_window
+from .experiments import DepthTrend, comparability_sweep, ratio_window, sweep_point
 from .kernels import (
     KernelParams,
     curvature_permutation_sum,
@@ -559,13 +559,21 @@ def suite_optimizer(seed: int = 0) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def suite_comparability(seed: int = 0) -> SuiteResult:
-    """Two-sided ratio windows across the standard Cantor sweep."""
+def _depth_trend(alpha: float, dim_factor: float, cells: dict) -> DepthTrend:
+    """``depth_trend(alpha, dim_factor)`` reusing the (alpha, dim, depth) ``cells``."""
+    dim = dim_factor * alpha
+    return DepthTrend.from_points(
+        cells.get((alpha, dim, m)) or sweep_point(alpha, dim, m) for m in range(1, 6)
+    )
+
+
+def suite_comparability(seed: int = 0, points=None) -> SuiteResult:
+    """Two-sided ratio windows across the standard sweep (or its ``points``)."""
     res = _new_result("comparability-window")
     thresholds = defaults.THRESHOLDS
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        points = comparability_sweep()
+        points = comparability_sweep() if points is None else points
         sym_window = ratio_window([p.sym_wolff_ratio for p in points])
         dbl_window = ratio_window([p.double_sum_ratio for p in points])
         proxy_window = ratio_window([p.proxy_ratio for p in points])
@@ -597,15 +605,17 @@ def suite_comparability(seed: int = 0) -> SuiteResult:
     return res
 
 
-def suite_zero_capacity(seed: int = 0) -> SuiteResult:
+def suite_zero_capacity(seed: int = 0, points=()) -> SuiteResult:
     """Depth trends: affine Wolff growth at critical dimension, decreasing
-    proxies, and stabilization above the critical dimension."""
+    proxies, and stabilization above the critical dimension.  Cells of the
+    standard sweep found in ``points`` are reused."""
     res = _new_result("zero-capacity-trend")
     thresholds = defaults.THRESHOLDS
+    cells = {(p.alpha, p.dimension, p.depth): p for p in points}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for alpha in (0.25, 0.5, 0.75):
-            critical = depth_trend(alpha, 1.0)
+            critical = _depth_trend(alpha, 1.0, cells)
             slope, _, r2 = critical.wolff_fit()
             res.record(
                 r2 > thresholds["wolff_growth_min_r2"] and slope > 0.0,
@@ -615,7 +625,7 @@ def suite_zero_capacity(seed: int = 0) -> SuiteResult:
                 critical.proxy_monotone_decreasing(),
                 f"capacity proxy not decreasing in depth at alpha={alpha}",
             )
-            above = depth_trend(alpha, 1.5)
+            above = _depth_trend(alpha, 1.5, cells)
             change = above.final_relative_change()
             res.record(
                 change < thresholds["supercritical_stabilization"],
@@ -651,12 +661,11 @@ def run_battery(
     if fault is not None and fault not in FAULTS:
         raise DomainError(f"unknown fault {fault!r}; known: {FAULTS}")
     suites = FULL_SUITES if full else FAST_SUITES
-    results = []
-    for fn in suites:
-        if fn is suite_sandwich:
-            results.append(fn(seed=seed, fault=fault))
-        else:
-            results.append(fn(seed=seed))
+    # The two sweep suites share one evaluation of the standard sweep.
+    sweep = {"points": comparability_sweep()} if full else {}
+    kwargs = {suite_sandwich: {"fault": fault}, suite_comparability: sweep,
+              suite_zero_capacity: sweep}
+    results = [fn(seed=seed, **kwargs.get(fn, {})) for fn in suites]
     return {
         "seed": seed,
         "full": full,

@@ -5,14 +5,25 @@ import numpy as np
 import pytest
 
 from conftest import make_random_measure
+from rieszcap import measures
+from rieszcap.capacity import OptimizerConfig, comparability_report
+from rieszcap.energies import (
+    TruncationWindow,
+    WolffExponents,
+    ball_mass_double_sum,
+    maximal_potential_energy,
+    wolff_energy,
+    wolff_potentials_at_atoms,
+)
 from rieszcap.errors import DomainError, MeasureFormatError, SizeCapError
+from rieszcap.kernels import KernelParams
 from rieszcap.measures import (
     CantorSpec,
     DiscreteMeasure,
+    _row_order,
     ball_profile,
     cantor_measure,
     cantor_spec_for_dimension,
-    growth_constant,
     maximal_at_atoms,
     maximal_function,
     measure_from_csv,
@@ -75,11 +86,14 @@ class TestDiscreteMeasure:
     def test_with_weights_keeps_geometry(self, rng):
         mu = make_random_measure(rng, 10)
         d = mu.distance_matrix()
+        order = _row_order(mu)
         diameter = mu.diameter
         w = rng.uniform(0.0, 1.0, mu.size)
         nu = mu.with_weights(w)
         assert nu.atoms is mu.atoms
         assert nu.distance_matrix() is d
+        assert _row_order(nu) is order
+        assert order.dtype == np.intp and not order.flags.writeable
         assert nu.min_gap == mu.min_gap and nu.delta == mu.delta
         assert nu.diameter == diameter
         assert np.array_equal(nu.weights, w)
@@ -225,6 +239,11 @@ class TestMaximalFunction:
                 for x in mu.atoms
             ]
             assert np.allclose(batch, singles, rtol=1e-13)
+        # r_max < r_min leaves no admissible radius, so no ball counts.
+        line = DiscreteMeasure([[0.0], [1.0], [3.0]], np.ones(3))
+        batch = maximal_at_atoms(line, 0.5, r_min=2.0, r_max=1.5)
+        singles = [maximal_function(line, x, 0.5, r_min=2.0, r_max=1.5) for x in line.atoms]
+        assert batch.tolist() == singles == [0.0, 0.0, 0.0]
 
     def test_alpha_must_be_positive(self):
         mu = DiscreteMeasure([[0.0]], [1.0])
@@ -232,24 +251,46 @@ class TestMaximalFunction:
             maximal_function(mu, [1.0], 0.0)
 
 
-class TestGrowthConstant:
-    def test_single_atom_clamped_at_delta(self):
-        d = 0.8
-        mu = DiscreteMeasure([[0.0, 0.0]], [1.3], delta=d / 2)
-        sample = [mu.atoms[0], np.array([d, 0.0])]
-        got = growth_constant(mu, 0.5, sample)
-        assert got == pytest.approx(1.3 / (d / 2) ** 0.5, rel=1e-14)
+class TestRowOrderCache:
+    def test_one_row_sort_per_support(self, monkeypatch):
+        sorts = []
+        argsort = np.argsort
 
-    def test_mass_scaling(self, rng):
-        mu = make_random_measure(rng, 8)
-        pts = list(mu.atoms)
-        base = growth_constant(mu, 0.5, pts)
-        scaled = growth_constant(mu.with_weights(3.0 * mu.weights), 0.5, pts)
-        assert scaled == pytest.approx(3.0 * base, rel=1e-14)
+        def counting_argsort(a, *args, **kwargs):
+            if np.ndim(a) == 2 and a.shape[0] == a.shape[1] > 1:
+                sorts.append(a.shape)
+            return argsort(a, *args, **kwargs)
 
-    def test_empty_sample_rejected(self, random_measure):
-        with pytest.raises(DomainError):
-            growth_constant(random_measure, 0.5, [])
+        monkeypatch.setattr(np, "argsort", counting_argsort)
+        mu = cantor_measure(cantor_spec_for_dimension(2, 0.75, 3))
+        params = KernelParams(0.5, 2)
+        window = TruncationWindow(mu.delta)
+        wolff_energy(mu, WolffExponents.matched(params), window)
+        ball_mass_double_sum(mu, params, window)
+        maximal_potential_energy(mu, params, window)
+        comparability_report(mu, 0.5, window, OptimizerConfig(max_iters=20))
+        assert sorts == [(mu.size, mu.size)]
+
+    def test_row_blocks_give_bitwise_equal_results(self, monkeypatch, rng):
+        # Ratio 0.5 puts many atoms at equal distances: long tie groups.
+        mu = cantor_measure(CantorSpec(n=2, ratio=0.5, depth=4))
+        nu = mu.with_weights(rng.uniform(0.0, 1.0, mu.size))
+        params = KernelParams(0.5, 2)
+        window = TruncationWindow(2.0 * mu.delta)
+        exps = WolffExponents.matched(params)
+
+        def evaluate(rows_per_block):
+            monkeypatch.setattr(measures, "_SORTED_BLOCK_BYTES", rows_per_block * 8 * mu.size)
+            return (
+                wolff_potentials_at_atoms(nu, exps, window),
+                ball_mass_double_sum(nu, params, window),
+                maximal_at_atoms(nu, 0.5, r_min=window.eps, r_max=0.6),
+            )
+
+        whole = evaluate(mu.size)
+        for rows_per_block in (1, 7):
+            for got, want in zip(evaluate(rows_per_block), whole):
+                assert np.array_equal(got, want)
 
 
 class TestSerialization:
