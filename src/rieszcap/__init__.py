@@ -45,8 +45,6 @@ from .capacity import (
     ComparabilityReport,
     OptimizerConfig,
     PLANAR_MAPS,
-    admissible_grid,
-    admissible_lower_bound,
     bilipschitz_experiment,
     chebyshev_restrict,
     comparability_report,

@@ -34,7 +34,6 @@ from .energies import (
     _wolff_drops,
     maximal_potential_energy,
     symmetrization_potentials_sq_at_atoms,
-    truncated_riesz_transform,
 )
 from .errors import (
     DomainError,
@@ -46,34 +45,26 @@ from .measures import DiscreteMeasure, _row_order, _sorted_rows, measure_to_json
 
 METHOD_ENERGY = "max-potential-energy"
 METHOD_WOLFF = "wolff-energy"
-METHOD_ADMISSIBLE = "admissible-lower"
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Projected-gradient settings.
 
-    ``tolerance`` is the relative energy-decrease threshold that stops the
-    iteration; ``step_rule`` is "backtracking" (halving from a scale-free
-    initial step) or "fixed".  ``seed`` feeds any randomized initialization;
-    the default start is the uniform weight vector, which is deterministic.
+    ``max_iters`` caps the descent iterations; ``tolerance`` is the
+    relative energy-decrease threshold that stops them earlier.  The start
+    is always the uniform weight vector and each step backtracks by halving
+    from a scale-free initial step, so a run is deterministic.
     """
 
     max_iters: int = 400
-    step_rule: str = "backtracking"
     tolerance: float = 1e-10
-    seed: int = 0
-    step_size: float = 1.0
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise DomainError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.tolerance <= 0.0:
             raise DomainError(f"tolerance must be positive, got {self.tolerance}")
-        if self.step_rule not in ("fixed", "backtracking"):
-            raise DomainError(f"unknown step rule {self.step_rule!r}")
-        if self.step_size <= 0.0:
-            raise DomainError(f"step_size must be positive, got {self.step_size}")
 
 
 @dataclass(frozen=True)
@@ -187,15 +178,13 @@ def _descend(objective, w0: np.ndarray, cfg: OptimizerConfig) -> tuple:
             break
         # Scale-free step: invariant under rescaling the objective, so
         # dilating the support reproduces the same iterate path.
-        t = cfg.step_size * energy / gsq
+        t = energy / gsq
         accepted = False
         for _ in range(60):
             w_new = project_to_simplex(w - t * grad)
             e_new = objective.energy(w_new)
             if e_new < energy:
                 accepted = True
-                break
-            if cfg.step_rule == "fixed":
                 break
             t *= 0.5
             backtracks += 1
@@ -307,12 +296,8 @@ def _refine_combined(support, params, window, w0, cfg, iters: int = 25):
         def energy_and_gradient(self, w):
             return self.energy(w), _combined_subgradient(support, params, window, w)
 
-    small_cfg = OptimizerConfig(
-        max_iters=min(cfg.max_iters, iters),
-        step_rule="backtracking",
-        tolerance=cfg.tolerance,
-        seed=cfg.seed,
-    )
+    small_cfg = OptimizerConfig(max_iters=min(cfg.max_iters, iters),
+                                tolerance=cfg.tolerance)
     return _descend(_Objective(), w0, small_cfg)
 
 
@@ -398,76 +383,6 @@ def chebyshev_restrict(
         raise EmptyRestrictionError("retained atoms carry zero mass")
     return DiscreteMeasure(
         mu.atoms[keep], mu.weights[keep] / retained, delta=mu.delta
-    )
-
-
-# ---------------------------------------------------------------------------
-# Admissible lower bound
-# ---------------------------------------------------------------------------
-
-
-def admissible_grid(
-    mu: DiscreteMeasure, eps: float, extra=None, displacement: float = 2.0
-) -> np.ndarray:
-    """Near-field evaluation grid: atoms displaced along +-coordinate axes.
-
-    The displacement is ``displacement * eps`` (strictly more than eps, so a
-    displaced point still sees its anchor atom through the strict cutoff);
-    points that land within eps of any atom are dropped.  User points in
-    ``extra`` are appended and filtered the same way.
-    """
-    if displacement <= 1.0:
-        raise DomainError("displacement must exceed 1 (in units of eps)")
-    shifts = np.vstack([np.eye(mu.n), -np.eye(mu.n)]) * (displacement * eps)
-    pts = (mu.atoms[:, None, :] + shifts[None, :, :]).reshape(-1, mu.n)
-    if extra is not None:
-        extra = np.atleast_2d(np.asarray(extra, dtype=float))
-        pts = np.vstack([pts, extra])
-    dmin = np.min(
-        np.linalg.norm(pts[:, None, :] - mu.atoms[None, :, :], axis=2), axis=1
-    )
-    return pts[dmin >= eps]
-
-
-def admissible_lower_bound(
-    mu: DiscreteMeasure,
-    params: KernelParams,
-    eval_points,
-    eps: float,
-) -> CapacityEstimate:
-    """Lower-bound proxy from the componentwise sup of the truncated transform.
-
-    Rescales mu so every transform component stays within 1 on the grid and
-    reports the rescaled total mass.  This is an eps-resolution surrogate:
-    the true sup over all of R^n is infinite for atomic measures, so the
-    value is meaningful only relative to the smearing scale eps.
-    """
-    pts = np.atleast_2d(np.asarray(eval_points, dtype=float))
-    if pts.shape[0] == 0:
-        raise DomainError("evaluation grid is empty")
-    if pts.shape[1] != mu.n:
-        raise DomainError(f"grid dimension {pts.shape[1]} != measure dimension {mu.n}")
-    dmin = np.min(
-        np.linalg.norm(pts[:, None, :] - mu.atoms[None, :, :], axis=2), axis=1
-    )
-    if np.any(dmin < eps * (1.0 - 1e-12)):
-        raise DomainError("an evaluation point lies inside an eps-ball of an atom")
-    b = 0.0
-    for p in pts:
-        r = truncated_riesz_transform(mu, p, params, eps)
-        b = max(b, float(np.max(np.abs(r))))
-    if b == 0.0:
-        raise DomainError(
-            "the truncated transform vanishes on the whole grid; "
-            "the admissible bound is degenerate there"
-        )
-    window = TruncationWindow(eps)
-    return CapacityEstimate(
-        value=mu.total_mass / b,
-        method=METHOD_ADMISSIBLE,
-        witness=mu.with_weights(mu.weights / b),
-        window=window,
-        diagnostics={"sup_component": b, "eval_points": float(len(pts))},
     )
 
 

@@ -4,7 +4,7 @@ Commands
 --------
 gen       generate a corner-Cantor measure file
 energy    energy report rows for a measure over (alpha, eps) grids
-capacity  capacity-proxy sweep over a Cantor family, optionally plotted
+capacity  capacity-proxy sweep over a Cantor family
 compare   both capacity proxies and their ratio for one measure
 bilip     capacity proxy before/after a registered planar bilipschitz map
 verify    run the property-test battery
@@ -165,18 +165,15 @@ def cmd_capacity(args) -> int:
     )
     from .energies import TruncationWindow
     from .experiments import CAPACITY_CSV_COLUMNS, sweep_point
-    from .svg import line_chart
 
     cfg = _load_config(args.config, {"measure", "alpha", "dim_factors", "depths",
                                      "n", "eps", "max_iters", "tolerance"})
     alphas = _floats(args.alpha) if args.alpha else cfg.get("alpha", [0.25, 0.5, 0.75])
     opt = OptimizerConfig(
         max_iters=cfg.get("max_iters", 200), tolerance=cfg.get("tolerance", 1e-8),
-        seed=args.seed,
     )
     measure_path = args.measure or cfg.get("measure")
     rows = []
-    points = []
     if measure_path:
         from .measures import load_measure
 
@@ -200,6 +197,7 @@ def cmd_capacity(args) -> int:
         )
         depths = _ints(args.depths) if args.depths else cfg.get("depths", [2, 3, 4, 5])
         n = args.n if args.n is not None else cfg.get("n", 2)
+        points = []
         for alpha in alphas:
             for factor in dim_factors:
                 for depth in depths:
@@ -213,22 +211,6 @@ def cmd_capacity(args) -> int:
                          METHOD_WOLFF, p.wolff_proxy,
                          p.wolff_proxy**-2.0, p.optimizer_iters, status))
     _write_csv(args.out, CAPACITY_CSV_COLUMNS + ("status",), rows)
-    if args.plot and points:
-        series = []
-        for alpha in alphas:
-            for factor in dim_factors:
-                sel = [p for p in points
-                       if p.alpha == alpha and p.dimension == factor * alpha]
-                sel.sort(key=lambda p: p.depth)
-                series.append((
-                    f"a={alpha:g} d={factor * alpha:g}",
-                    [float(p.depth) for p in sel],
-                    [p.energy_proxy for p in sel],
-                ))
-        svg = line_chart(series, title="capacity proxy vs depth", xlabel="depth",
-                         ylabel="proxy value", log_y=True)
-        plot_path = args.plot if isinstance(args.plot, str) else "capacity.svg"
-        _write_text(plot_path, svg)
     return EXIT_OK
 
 
@@ -245,7 +227,7 @@ def cmd_compare(args) -> int:
     alpha = _floats(args.alpha)[0] if args.alpha else cfg.get("alpha", 0.5)
     eps = _floats(args.eps)[0] if args.eps else cfg.get("eps", mu.delta)
     opt = OptimizerConfig(max_iters=cfg.get("max_iters", 400),
-                          tolerance=cfg.get("tolerance", 1e-10), seed=args.seed)
+                          tolerance=cfg.get("tolerance", 1e-10))
     report = comparability_report(mu, float(alpha), TruncationWindow(float(eps)), opt)
     doc = {
         "alpha": alpha,
@@ -259,7 +241,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_bilip(args) -> int:
-    from .capacity import OptimizerConfig, bilipschitz_experiment
+    from .capacity import bilipschitz_experiment
     from .defaults import THRESHOLDS
     from .energies import TruncationWindow
     from .measures import load_measure
@@ -272,9 +254,8 @@ def cmd_bilip(args) -> int:
     alpha = _floats(args.alpha)[0] if args.alpha else cfg.get("alpha", 0.5)
     eps = _floats(args.eps)[0] if args.eps else cfg.get("eps", mu.delta)
     map_id = args.map or cfg.get("map", "shear_sine")
-    opt = OptimizerConfig(seed=args.seed)
     result = bilipschitz_experiment(mu, map_id, float(alpha),
-                                    TruncationWindow(float(eps)), opt)
+                                    TruncationWindow(float(eps)))
     bound = THRESHOLDS["bilipschitz_bounds"].get(map_id)
     doc = {
         "map": result.map_name,
@@ -354,9 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim-factors", dest="dim_factors", help="comma-separated list")
     p.add_argument("--depths", help="comma-separated list")
     p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--plot", nargs="?", const="capacity.svg",
-                   help="write an SVG chart (optional path)")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_capacity)
 
@@ -365,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure")
     p.add_argument("--alpha")
     p.add_argument("--eps")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_compare)
 
@@ -375,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map")
     p.add_argument("--alpha")
     p.add_argument("--eps")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_bilip)
 

@@ -668,17 +668,21 @@ def energy_report(
         window = TruncationWindow(mu.delta)
     _require_alpha_in(params, 1.0)
     sweep = default_eps_sweep(mu, window.eps) if eps_sweep is None else np.asarray(eps_sweep)
-    sup_r = max(riesz_l2_energy(mu, params, float(e)) for e in sweep)
+    l2 = [riesz_l2_energy(mu, params, float(e)) for e in sweep]
+    # np.geomspace returns its start exactly, so the default sweep's first
+    # entry is the window's own eps.
+    riesz_l2 = l2[0] if eps_sweep is None else riesz_l2_energy(mu, params, window.eps)
     exps = WolffExponents.matched(params)
     m_vals = maximal_at_atoms(mu, params.alpha, r_min=window.eps, r_max=window.outer)
+    pp = symmetrization_potentials_sq_at_atoms(mu, params, window)
     return EnergyReport(
         params=params,
         window=window,
         n_atoms=mu.size,
         symmetrization=symmetrization_energy(mu, params, window),
-        riesz_l2=riesz_l2_energy(mu, params, window.eps),
-        sup_riesz_l2=float(sup_r),
+        riesz_l2=riesz_l2,
+        sup_riesz_l2=float(max(l2)),
         wolff=wolff_energy(mu, exps, window),
-        maximal_potential=maximal_potential_energy(mu, params, window),
+        maximal_potential=float(np.dot(mu.weights, m_vals + np.sqrt(pp))),
         max_maximal=float(m_vals.max()),
     )

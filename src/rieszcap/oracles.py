@@ -372,48 +372,3 @@ def wolff_cubic_form(mu: DiscreteMeasure, alpha: float, window: TruncationWindow
                 grad[j] += wi * wl * t
                 grad[l] += wi * wj * t
     return energy, grad
-
-
-# ---------------------------------------------------------------------------
-# Monte-Carlo spot check of the ball-mass double sum
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MCEstimate:
-    value: float
-    stderr: float
-    samples: int
-
-
-def mc_double_sum(
-    mu: DiscreteMeasure, alpha: float, eps: float, samples: int, seed: int
-) -> MCEstimate:
-    """Monte-Carlo estimate of sum_{i != j} w_i w_j mu(B(x_i, d_ij)) / d_ij^(2a).
-
-    Draws ordered atom pairs with probability proportional to their weights;
-    pairs at distance <= eps (including i = j) contribute zero, matching the
-    truncated exact double sum.  Deterministic for a fixed seed.
-    """
-    if samples < 1000:
-        raise DomainError(f"need at least 1000 samples, got {samples}")
-    atoms, weights = _atom_rows(mu)
-    total_mass = sum(weights)
-    probs = [w / total_mass for w in weights]
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(len(atoms), size=(samples, 2), p=probs)
-    vals = np.empty(samples)
-    for s, (i, j) in enumerate(idx):
-        if i == j:
-            vals[s] = 0.0
-            continue
-        d = _dist(atoms[i], atoms[j])
-        if d <= eps:
-            vals[s] = 0.0
-            continue
-        mass = sum(w for a, w in zip(atoms, weights) if _dist(atoms[i], a) <= d)
-        vals[s] = mass / d ** (2.0 * alpha)
-    scale = total_mass * total_mass
-    mean = float(vals.mean())
-    sem = float(vals.std(ddof=1) / math.sqrt(samples))
-    return MCEstimate(value=scale * mean, stderr=scale * sem, samples=samples)

@@ -9,14 +9,11 @@ from hypothesis import strategies as st
 from conftest import make_random_measure
 from rieszcap import capacity
 from rieszcap.capacity import (
-    METHOD_ADMISSIBLE,
     METHOD_ENERGY,
     METHOD_WOLFF,
     OptimizerConfig,
     PLANAR_MAPS,
     _WolffObjective,
-    admissible_grid,
-    admissible_lower_bound,
     bilipschitz_experiment,
     chebyshev_restrict,
     comparability_report,
@@ -121,15 +118,6 @@ class TestWolffMinimization:
         est = minimize_wolff_energy(mu, MATCHED, window)
         recomputed = wolff_energy(est.witness, MATCHED, window)
         assert est.value == pytest.approx(recomputed**-0.5, rel=1e-10)
-
-    def test_fixed_step_rule_descends(self, rng):
-        mu = make_random_measure(rng, 9)
-        window = TruncationWindow(0.05)
-        cfg = OptimizerConfig(max_iters=50, step_rule="fixed", step_size=0.05)
-        est = minimize_wolff_energy(mu, MATCHED, window, cfg)
-        assert est.diagnostics["energy"] <= wolff_energy(mu, MATCHED, window) * (
-            1 + 1e-12
-        )
 
     def test_unsupported_p_above_two(self):
         from rieszcap.errors import UnsupportedExponentError
@@ -294,49 +282,6 @@ class TestChebyshevRestriction:
 
         m_vals = maximal_at_atoms(nu, alpha, r_min=window.eps)
         assert c_alpha * float(m_vals.max()) ** 2 <= 18.0 * energy * (1 + 1e-10)
-
-
-class TestAdmissibleLowerBound:
-    def test_single_atom_unit_sphere(self):
-        mu = DiscreteMeasure([[0.0, 0.0]], [1.0], delta=1.0)
-        pts = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [0.6, 0.8]]
-        est = admissible_lower_bound(mu, P2, pts, eps=0.5)
-        assert est.method == METHOD_ADMISSIBLE
-        assert est.value == pytest.approx(1.0, rel=1e-12)
-        assert est.diagnostics["sup_component"] == pytest.approx(1.0, rel=1e-12)
-
-    def test_symmetric_pair_cancels_at_midpoint(self):
-        mu = DiscreteMeasure([[-1.0, 0.0], [1.0, 0.0]], np.ones(2), delta=0.5)
-        with pytest.raises(DomainError):
-            # the transform vanishes exactly at the midpoint: degenerate grid
-            admissible_lower_bound(mu, P2, [[0.0, 0.0]], eps=0.5)
-        pts = [[0.0, 0.0], [2.0, 0.0]]
-        est = admissible_lower_bound(mu, P2, pts, eps=0.5)
-        assert est.value > 0.0  # the sup is attained elsewhere on the grid
-
-    def test_point_inside_eps_ball_rejected(self):
-        mu = DiscreteMeasure([[0.0, 0.0]], [1.0], delta=1.0)
-        with pytest.raises(DomainError):
-            admissible_lower_bound(mu, P2, [[0.1, 0.0]], eps=0.5)
-
-    def test_default_grid_sees_anchor(self):
-        mu = DiscreteMeasure([[0.0, 0.0]], [1.0], delta=1.0)
-        pts = admissible_grid(mu, eps=0.25)
-        assert len(pts) == 4
-        est = admissible_lower_bound(mu, P2, pts, eps=0.25)
-        # anchor at distance 2 eps: |k| = (2 eps)^(-alpha)
-        assert est.diagnostics["sup_component"] == pytest.approx(
-            (0.5) ** -0.5 * 0.0 + (2 * 0.25) ** -0.5, rel=1e-12
-        )
-
-    def test_cross_method_ratio_reported(self, rng):
-        mu = cantor_measure(cantor_spec_for_dimension(2, 0.75, 2))
-        window = TruncationWindow(mu.delta)
-        grid = admissible_grid(mu, window.eps)
-        adm = admissible_lower_bound(mu, P2, grid, window.eps)
-        proxy = estimate_positive_capacity(mu, P2, window)
-        ratio = adm.value / proxy.value
-        assert math.isfinite(ratio) and ratio > 0.0
 
 
 class TestComparabilityAndMaps:

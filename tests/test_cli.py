@@ -1,13 +1,13 @@
 import json
 import math
-import xml.etree.ElementTree as ET
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rieszcap.cli import main
+from rieszcap.cli import build_parser, main
 from rieszcap.measures import DiscreteMeasure, load_measure, save_measure
-from rieszcap.svg import line_chart
 
 
 @pytest.fixture
@@ -96,18 +96,16 @@ class TestEnergy:
 
 
 class TestCapacityCommand:
-    def test_sweep_rows_and_plot(self, tmp_path):
+    def test_sweep_rows(self, tmp_path):
         out = tmp_path / "cap.csv"
-        svg = tmp_path / "cap.svg"
         code = main(["capacity", "--alpha", "0.5", "--dim-factors", "1.5",
-                     "--depths", "1,2", "--out", str(out), "--plot", str(svg)])
+                     "--depths", "1,2", "--out", str(out)])
         assert code == 0
         lines = out.read_text().strip().split("\n")
         assert lines[0].split(",")[:7] == [
             "set_id", "n", "alpha", "dim", "depth", "eps", "method"
         ]
         assert len(lines) == 1 + 2 * 2  # two methods per sweep point
-        ET.fromstring(svg.read_text())  # well-formed XML
 
     def test_depth_sweep_value_decreasing(self, tmp_path):
         out = tmp_path / "cap.csv"
@@ -169,25 +167,6 @@ class TestCompareAndBilip:
                      "--map", "nope", "--alpha", "0.5", "--eps", "0.5"]) == 3
 
 
-class TestSvg:
-    def test_rejects_empty(self):
-        with pytest.raises(Exception):
-            line_chart([])
-
-    def test_log_scale_needs_positive(self):
-        with pytest.raises(Exception):
-            line_chart([("a", [1, 2], [0.0, 1.0])], log_y=True)
-
-    def test_well_formed(self):
-        text = line_chart(
-            [("a", [1, 2, 3], [1.0, 0.5, 0.25]), ("b", [1, 2, 3], [2.0, 1.0, 0.5])],
-            title="t", xlabel="x", ylabel="y", log_y=True,
-        )
-        root = ET.fromstring(text)
-        assert root.tag.endswith("svg")
-        assert len([el for el in root.iter() if el.tag.endswith("polyline")]) == 2
-
-
 class TestMeasureRoundTripViaCli:
     def test_csv_import(self, tmp_path):
         csv_path = tmp_path / "m.csv"
@@ -197,3 +176,16 @@ class TestMeasureRoundTripViaCli:
                      "--eps", "0.5", "--out", str(out)])
         assert code == 0
         assert "p_alpha" in out.read_text()
+
+
+class TestReadme:
+    def test_cli_block_parses(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = text.split("\n## CLI\n", 1)[1].split("```", 2)[1]
+        lines = [line.split(" #", 1)[0] for line in block.splitlines()
+                 if line.startswith("rieszcap ")]
+        assert len(lines) >= 8
+        parser = build_parser()
+        for line in lines:
+            args = parser.parse_args(shlex.split(line)[1:])
+            assert callable(args.fn), line

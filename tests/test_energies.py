@@ -14,6 +14,7 @@ from rieszcap.capacity import _pp_bilinear_at_atoms
 from rieszcap.energies import (
     TruncationWindow,
     ball_mass_double_sum,
+    default_eps_sweep,
     energy_report,
     maximal_potential,
     maximal_potential_energy,
@@ -27,7 +28,12 @@ from rieszcap.energies import (
 )
 from rieszcap.errors import DomainError
 from rieszcap.kernels import KernelParams
-from rieszcap.measures import DiscreteMeasure, cantor_measure, cantor_spec_for_dimension
+from rieszcap.measures import (
+    DiscreteMeasure,
+    cantor_measure,
+    cantor_spec_for_dimension,
+    maximal_at_atoms,
+)
 from rieszcap.oracles import (
     _dist,
     naive_ball_mass_double_sum,
@@ -490,3 +496,39 @@ class TestEnergyReport:
         assert doc["p_alpha"] == report.symmetrization
         assert doc["E_alpha"] == report.maximal_potential
         assert math.isfinite(doc["M_max"])
+
+    def test_each_functional_evaluated_once(self, monkeypatch):
+        mu = cantor_measure(cantor_spec_for_dimension(2, 0.75, 2))
+        window = TruncationWindow(mu.delta)
+        sweep = default_eps_sweep(mu, window.eps)
+        calls = {"maximal": 0, "l2": 0}
+
+        def counted_maximal(*args, **kwargs):
+            calls["maximal"] += 1
+            return maximal_at_atoms(*args, **kwargs)
+
+        def counted_l2(mu_, params, eps):
+            calls["l2"] += 1
+            return riesz_l2_energy(mu_, params, eps)
+
+        monkeypatch.setattr(energies, "maximal_at_atoms", counted_maximal)
+        monkeypatch.setattr(energies, "riesz_l2_energy", counted_l2)
+        report = energy_report(mu, P2, window)
+        assert calls["maximal"] == 1
+        assert calls["l2"] == len(sweep)
+        assert sweep[0] == window.eps
+        monkeypatch.undo()
+        # The shared evaluations leave every field bit-identical.
+        assert report.riesz_l2 == riesz_l2_energy(mu, P2, window.eps)
+        assert report.sup_riesz_l2 == max(riesz_l2_energy(mu, P2, float(e)) for e in sweep)
+        assert report.maximal_potential == maximal_potential_energy(mu, P2, window)
+        m_vals = maximal_at_atoms(mu, 0.5, r_min=window.eps, r_max=window.outer)
+        assert report.max_maximal == float(m_vals.max())
+
+    def test_supplied_sweep_keeps_its_meaning(self):
+        mu = cantor_measure(cantor_spec_for_dimension(2, 0.75, 2))
+        window = TruncationWindow(mu.delta)
+        sweep = [2.0 * mu.delta, 4.0 * mu.delta]
+        report = energy_report(mu, P2, window, eps_sweep=sweep)
+        assert report.riesz_l2 == riesz_l2_energy(mu, P2, window.eps)
+        assert report.sup_riesz_l2 == max(riesz_l2_energy(mu, P2, e) for e in sweep)

@@ -3,12 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rieszcap.energies import TruncationWindow, ball_mass_double_sum
-from rieszcap.errors import DomainError
-from rieszcap.kernels import KernelParams
 from rieszcap.measures import DiscreteMeasure
 from rieszcap.oracles import (
-    mc_double_sum,
     naive_symmetrization_energy,
     naive_symmetrization_potential_sq,
 )
@@ -26,30 +22,3 @@ class TestNaiveLoops:
     def test_potential_skips_close_pairs(self):
         mu = DiscreteMeasure([[0.0], [1.0]], np.ones(2), delta=0.5)
         assert naive_symmetrization_potential_sq(mu, [-1.0], 0.5, 1.5) == 0.0
-
-
-class TestMonteCarlo:
-    def test_two_atom_exact_hit(self):
-        mu = DiscreteMeasure([[0.0], [0.8]], [0.7, 1.3], delta=0.1)
-        exact = ball_mass_double_sum(mu, KernelParams(0.5, 1), TruncationWindow(0.1))
-        est = mc_double_sum(mu, 0.5, 0.1, samples=20000, seed=11)
-        assert abs(est.value - exact) <= 3.0 * est.stderr
-
-    def test_uniform_square(self, rng):
-        mu = DiscreteMeasure(
-            [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], np.ones(4), delta=0.3
-        )
-        exact = ball_mass_double_sum(mu, KernelParams(0.5, 2), TruncationWindow(0.3))
-        est = mc_double_sum(mu, 0.5, 0.3, samples=40000, seed=5)
-        assert abs(est.value - exact) <= 3.0 * est.stderr
-
-    def test_seed_determinism(self, random_measure):
-        a = mc_double_sum(random_measure, 0.5, 0.05, samples=2000, seed=42)
-        b = mc_double_sum(random_measure, 0.5, 0.05, samples=2000, seed=42)
-        assert a == b
-        c = mc_double_sum(random_measure, 0.5, 0.05, samples=2000, seed=43)
-        assert c.value != a.value
-
-    def test_minimum_samples(self, random_measure):
-        with pytest.raises(DomainError):
-            mc_double_sum(random_measure, 0.5, 0.05, samples=10, seed=0)
