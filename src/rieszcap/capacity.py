@@ -290,20 +290,30 @@ def _refine_combined(support, params, window, w0, cfg, iters: int = 25):
     """Short monotone subgradient descent on the combined energy."""
 
     class _Objective:
+        # The measure of the latest weights, so that its completed square
+        # serves both the energy and the subgradient.
+        _last = support
+
+        def _measure(self, w):
+            if not np.array_equal(self._last.weights, w):
+                self._last = support.with_weights(w)
+            return self._last
+
         def energy(self, w):
-            return maximal_potential_energy(support.with_weights(w), params, window)
+            return maximal_potential_energy(self._measure(w), params, window)
 
         def energy_and_gradient(self, w):
-            return self.energy(w), _combined_subgradient(support, params, window, w)
+            mu = self._measure(w)
+            return (maximal_potential_energy(mu, params, window),
+                    _combined_subgradient(mu, params, window))
 
     small_cfg = OptimizerConfig(max_iters=min(cfg.max_iters, iters),
                                 tolerance=cfg.tolerance)
     return _descend(_Objective(), w0, small_cfg)
 
 
-def _combined_subgradient(support, params, window, w) -> np.ndarray:
-    """Subgradient of sum_i w_i (M_i + sqrt(pp_i)) in the weights."""
-    mu = support.with_weights(w)
+def _combined_subgradient(mu, params, window) -> np.ndarray:
+    """Subgradient of sum_i w_i (M_i + sqrt(pp_i)) in the weights of mu."""
     alpha = params.alpha
     m_vals = np.empty(mu.size)
     r_star = np.empty(mu.size)

@@ -18,8 +18,11 @@ Cutoff comparisons are strict (> eps); ties at exactly eps are excluded.
 
 Evaluating the triple sum
 -------------------------
-The triple sum and the squared potentials at atoms share one evaluation
-path.  Grouped by center m, the triple sum is 3 sum_m w_m S_m, where S_m
+The triple sum, the transform's L2 energy and the squared potentials at
+atoms share one evaluation: the completed square of a measure at one
+(alpha, eps) is computed in one pass and kept, read-only, in that
+measure's cache, so each further functional at the same cutoff reads it.
+Grouped by center m, the triple sum is 3 sum_m w_m S_m, where S_m
 sums w_j w_k K_mj . K_mk over ordered pairs of distinct atoms that m sees
 beyond eps and that are themselves more than eps apart.  S_m is the
 completed square |R_m|^2 minus its diagonal j = k and the enumerated close
@@ -46,6 +49,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -247,10 +251,18 @@ def _transform_at_atoms(mu: DiscreteMeasure, alpha: float, eps: float, pairs=Non
 def riesz_transform_at_atoms(
     mu: DiscreteMeasure, params: KernelParams, eps: float
 ) -> np.ndarray:
-    """Truncated transform evaluated at every atom site, shape (N, n)."""
+    """Truncated transform evaluated at every atom site, shape (N, n).
+
+    Read from the measure's completed square at (alpha, eps) when one has
+    been computed; otherwise a plain pass that enumerates no close pairs
+    and caches nothing.
+    """
     if eps <= 0.0:
         raise DomainError(f"eps must be positive, got {eps}")
     _check_dims(mu, params)
+    square = mu._cache.get(("square", params.alpha, eps))
+    if square is not None:
+        return square.r.copy()
     return _transform_at_atoms(mu, params.alpha, eps)[0]
 
 
@@ -310,13 +322,13 @@ def _center_sums(mu: DiscreteMeasure, alpha: float, eps: float) -> np.ndarray:
     """
     d = mu.distance_matrix()
     w = mu.weights
-    square = _completed_square(mu, alpha, eps, cross=False)
+    square = _completed_square(mu, alpha, eps)
     if square is None:
         sums = np.zeros(mu.size)
         redo = np.arange(mu.size)
     else:
-        sums, _, magnitude = square
-        redo = np.flatnonzero(np.abs(sums) <= CERTIFICATE_TAU * magnitude)
+        sums = square.gram.copy()
+        redo = np.flatnonzero(np.abs(sums) <= CERTIFICATE_TAU * square.gram_magnitude)
     for m in redo:
         seen = np.flatnonzero((d[m] > eps) & (w > 0.0))
         kernels = _kernel_rows(mu, alpha, eps, m, m + 1)[0, seen]
@@ -324,47 +336,82 @@ def _center_sums(mu: DiscreteMeasure, alpha: float, eps: float) -> np.ndarray:
     return sums
 
 
-def _completed_square(mu: DiscreteMeasure, alpha: float, eps: float, cross: bool):
+class _Square(NamedTuple):
+    """The completed square of one measure at one (alpha, eps), read-only.
+
+    ``r`` is the truncated transform at the atoms, ``gram`` the center-leg
+    sums and ``cross`` the cross part of the squared potentials;
+    ``gram_magnitude`` and ``magnitude`` add up the absolute terms that
+    ``gram`` and ``gram + cross`` were summed from.
+    """
+
+    r: np.ndarray
+    gram: np.ndarray
+    cross: np.ndarray
+    gram_magnitude: np.ndarray
+    magnitude: np.ndarray
+
+
+def _completed_square(mu: DiscreteMeasure, alpha: float, eps: float):
     """Completed-square sums per center and the magnitudes they cancel against.
 
-    Returns (gram, x, magnitude), or None when close pairs are dense
-    (P > N^2 / 4).  gram_m = |R_m|^2 - diag_m - close_m is the center-leg
-    sum.  With ``cross`` set, x is the cross part of the squared potential;
-    splitting v_ij = 1 - [i = j] - [(i, j) close] in it gives
-    x_i = 2 (T1_i - T2_i - T3_i) with
+    Returns a ``_Square``, or None when close pairs are dense
+    (P > N^2 / 4).  Either is computed once per measure and (alpha, eps)
+    and kept in the measure's own cache, which ``with_weights`` does not
+    carry over: the atoms and weights are read-only, so the entry cannot
+    go stale.  gram_m = |R_m|^2 - diag_m - close_m is the center-leg sum.
+    Splitting v_ij = 1 - [i = j] - [(i, j) close] in the cross part of the
+    squared potential gives x_i = 2 (T1_i - T2_i - T3_i) with
 
         T1_i = sum_k w_k v_ik K_ki . R_k           (in the transform's pass),
         T2_i = w_i sum_k w_k v_ik d_ik^(-2 alpha)  (the diagonal's powers),
         T3_i = sum over close pairs (i, j) of w_j s_ij,
-        s_ab = sum_k w_k v_ka v_kb K_ka . K_kb     (the close-pair dots);
+        s_ab = sum_k w_k v_ka v_kb K_ka . K_kb     (the close-pair dots).
 
-    otherwise x is None.  The close-pair sums and the s_ab come from the
-    kernel rows of ``_transform_at_atoms``, one row block at a time, so the
-    memory beyond the O(N^2) distance and power matrices is one block.  The
-    magnitude adds up the absolute terms of every part that was summed,
-    each close-pair term with its exact |dot|.
+    The close-pair sums and the s_ab come from the kernel rows of
+    ``_transform_at_atoms``, and the powers d^(-2 alpha) from row blocks
+    of the distance matrix, so the memory beyond the O(N^2) distance
+    matrix is one block.  The magnitudes add up the absolute terms of
+    every part that was summed, each close-pair term with its exact |dot|.
     """
+    key = ("square", alpha, eps)
+    if key not in mu._cache:
+        mu._cache[key] = _build_square(mu, alpha, eps)
+    return mu._cache[key]
+
+
+def _build_square(mu: DiscreteMeasure, alpha: float, eps: float):
     pairs = _close_pairs(mu, eps)
     if len(pairs) > mu.size * mu.size // 4:
         return None
     a, b = pairs.T
     d = mu.distance_matrix()
     w = mu.weights
-    r, close, close_abs, s, s_abs, t1, t1_abs = _transform_at_atoms(mu, alpha, eps, pairs, cross)
+    r, close, close_abs, s, s_abs, t1, t1_abs = _transform_at_atoms(
+        mu, alpha, eps, pairs, cross=True)
     sq = np.einsum("mn,mn->m", r, r)
-    with np.errstate(divide="ignore"):
-        inv = d ** (-2.0 * alpha)
-    inv[d <= eps] = 0.0
-    diag = inv @ (w * w)
+    diag = np.empty(mu.size)
+    inv_w = np.empty(mu.size)
+    ww = w * w
+    block = _row_block(mu.size, mu.n)
+    for i0 in range(0, mu.size, block):
+        rows = d[i0 : i0 + block]
+        with np.errstate(divide="ignore"):
+            inv = rows ** (-2.0 * alpha)
+        inv[rows <= eps] = 0.0
+        diag[i0 : i0 + block] = inv @ ww
+        inv_w[i0 : i0 + block] = inv @ w
     gram = sq - diag - close
-    magnitude = sq + diag + close_abs
-    if not cross:
-        return gram, None, magnitude
-    t2 = w * (inv @ w)
+    gram_magnitude = sq + diag + close_abs
+    t2 = w * inv_w
     # T3_i gathers w_j s_ij over the close pairs (i, j) in both orders.
     t3 = np.bincount(a, w[b] * s, mu.size) + np.bincount(b, w[a] * s, mu.size)
     t3_abs = np.bincount(a, w[b] * s_abs, mu.size) + np.bincount(b, w[a] * s_abs, mu.size)
-    return gram, 2.0 * (t1 - t2 - t3), magnitude + 2.0 * (t1_abs + t2 + t3_abs)
+    square = _Square(r, gram, 2.0 * (t1 - t2 - t3),
+                     gram_magnitude, gram_magnitude + 2.0 * (t1_abs + t2 + t3_abs))
+    for array in square:
+        array.setflags(write=False)
+    return square
 
 
 # ---------------------------------------------------------------------------
@@ -513,13 +560,13 @@ def symmetrization_potentials_sq_at_atoms(
     _check_dims(mu, params)
     _warn_below_delta(window, mu)
     alpha, eps = params.alpha, window.eps
-    square = _completed_square(mu, alpha, eps, cross=True)
+    square = _completed_square(mu, alpha, eps)
     if square is None:
         gram, cross = np.zeros(mu.size), np.zeros(mu.size)
         redo = np.arange(mu.size)
     else:
-        gram, cross, magnitude = square
-        redo = np.flatnonzero(np.abs(gram + cross) <= CERTIFICATE_TAU * magnitude)
+        gram, cross = square.gram.copy(), square.cross.copy()
+        redo = np.flatnonzero(np.abs(gram + cross) <= CERTIFICATE_TAU * square.magnitude)
     d = mu.distance_matrix()
     for i in redo:
         legs = _kernel_rows(mu, alpha, eps, i, i + 1)[0]
@@ -668,19 +715,18 @@ def energy_report(
         window = TruncationWindow(mu.delta)
     _require_alpha_in(params, 1.0)
     sweep = default_eps_sweep(mu, window.eps) if eps_sweep is None else np.asarray(eps_sweep)
+    # The squared potentials complete the square at the window's eps; the
+    # triple sum and the transform energy there read it from the cache.
+    pp = symmetrization_potentials_sq_at_atoms(mu, params, window)
     l2 = [riesz_l2_energy(mu, params, float(e)) for e in sweep]
-    # np.geomspace returns its start exactly, so the default sweep's first
-    # entry is the window's own eps.
-    riesz_l2 = l2[0] if eps_sweep is None else riesz_l2_energy(mu, params, window.eps)
     exps = WolffExponents.matched(params)
     m_vals = maximal_at_atoms(mu, params.alpha, r_min=window.eps, r_max=window.outer)
-    pp = symmetrization_potentials_sq_at_atoms(mu, params, window)
     return EnergyReport(
         params=params,
         window=window,
         n_atoms=mu.size,
         symmetrization=symmetrization_energy(mu, params, window),
-        riesz_l2=riesz_l2,
+        riesz_l2=riesz_l2_energy(mu, params, window.eps),
         sup_riesz_l2=float(max(l2)),
         wolff=wolff_energy(mu, exps, window),
         maximal_potential=float(np.dot(mu.weights, m_vals + np.sqrt(pp))),

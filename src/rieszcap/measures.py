@@ -59,7 +59,9 @@ class DiscreteMeasure:
     # The support's geometry (``_GEOMETRY``), filled lazily; ``with_weights``
     # seeds the new measure's cache with it.  The distance matrix and the
     # intp row order each take 8 N^2 bytes; ball-profile consumers add one
-    # sorted row block (``_sorted_rows``) on top.
+    # sorted row block (``_sorted_rows``) on top.  Entries that depend on
+    # the weights, such as the completed square per (alpha, eps), live only
+    # in this instance's cache.
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -164,10 +166,14 @@ class DiscreteMeasure:
     def with_weights(self, weights) -> "DiscreteMeasure":
         """Same support with new weights.
 
-        The support's cached geometry (min gap, distance matrix, row order,
-        diameter) carries over to the new measure in a cache of its own;
-        the weights are checked as in the constructor.
+        Weights equal to the measure's own return the measure itself, with
+        its cache.  Otherwise the support's cached geometry (min gap,
+        distance matrix, row order, diameter) carries over to the new
+        measure in a cache of its own; the weights are checked as in the
+        constructor.
         """
+        if np.array_equal(np.asarray(weights, dtype=float).reshape(-1), self.weights):
+            return self
         geometry = {k: self._cache[k] for k in _GEOMETRY if k in self._cache}
         return DiscreteMeasure(self.atoms, weights, self.delta, geometry)
 

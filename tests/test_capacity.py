@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_random_measure
-from rieszcap import capacity
+from rieszcap import capacity, energies
 from rieszcap.capacity import (
     METHOD_ENERGY,
     METHOD_WOLFF,
@@ -221,6 +221,29 @@ class TestPositiveCapacity:
         plain = estimate_positive_capacity(mu, P2, window)
         refined = estimate_positive_capacity(mu, P2, window, refine=True)
         assert refined.value >= plain.value * (1 - 1e-12)
+
+    def test_refinement_completes_one_square_per_weight_vector(self, rng, monkeypatch):
+        mu = make_random_measure(rng, 8)
+        window = TruncationWindow(0.08)
+        seen = set()
+        combined = capacity.maximal_potential_energy
+        transform = energies._transform_at_atoms
+        calls = {"transform": 0}
+
+        def recorded(m, *args):
+            seen.add(m.weights.tobytes())
+            return combined(m, *args)
+
+        def counted(*args, **kwargs):
+            calls["transform"] += 1
+            return transform(*args, **kwargs)
+
+        monkeypatch.setattr(capacity, "maximal_potential_energy", recorded)
+        monkeypatch.setattr(energies, "_transform_at_atoms", counted)
+        w0 = np.linspace(1.0, 2.0, mu.size)
+        _, _, diag = capacity._refine_combined(mu, P2, window, w0 / w0.sum(), OptimizerConfig())
+        assert diag["iterations"] >= 2
+        assert calls["transform"] == len(seen)
 
 
 class TestChebyshevRestriction:

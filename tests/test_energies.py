@@ -365,8 +365,9 @@ class TestRowBlocks:
         window = TruncationWindow(eps)
         # The certificate recomputes no center here, so every value below
         # comes from the blocked sums.
-        gram, cross, magnitude = energies._completed_square(mu, 0.5, eps, cross=True)
-        assert np.all(np.abs(gram + cross) > energies.CERTIFICATE_TAU * magnitude)
+        square = energies._completed_square(mu, 0.5, eps)
+        tau = energies.CERTIFICATE_TAU
+        assert np.all(np.abs(square.gram + square.cross) > tau * square.magnitude)
         energy = symmetrization_energy(mu, P2, window)
         pp = symmetrization_potentials_sq_at_atoms(mu, P2, window)
         naive_pp = [naive_symmetrization_potential_sq(mu, x, 0.5, eps) for x in mu.atoms]
@@ -374,15 +375,115 @@ class TestRowBlocks:
         naive_energy = float(np.dot(mu.weights, naive_pp))
         for rows in (1, 3):
             monkeypatch.setattr(energies, "_row_block", lambda *args: rows)
+            # A fresh measure for each blocking: mu's cache holds the square
+            # of the default blocking.
+            fresh = DiscreteMeasure(mu.atoms, mu.weights, mu.delta)
+            blocked = energies._completed_square(fresh, 0.5, eps)
             # The magnitudes only decide which centers are recomputed.
-            blocked_magnitude = energies._completed_square(mu, 0.5, eps, cross=True)[2]
-            assert np.allclose(blocked_magnitude, magnitude, rtol=1e-12, atol=0.0)
-            blocked_energy = symmetrization_energy(mu, P2, window)
-            blocked_pp = symmetrization_potentials_sq_at_atoms(mu, P2, window)
+            for got, want in ((blocked.magnitude, square.magnitude),
+                              (blocked.gram_magnitude, square.gram_magnitude)):
+                assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+            blocked_energy = symmetrization_energy(fresh, P2, window)
+            blocked_pp = symmetrization_potentials_sq_at_atoms(fresh, P2, window)
             assert blocked_energy == pytest.approx(energy, rel=1e-12)
             assert np.allclose(blocked_pp, pp, rtol=1e-12, atol=0.0)
             assert blocked_energy == pytest.approx(naive_energy, rel=1e-12)
             assert np.allclose(blocked_pp, naive_pp, rtol=1e-11, atol=1e-14)
+
+
+def _fresh(mu):
+    """The same measure with an empty cache."""
+    return DiscreteMeasure(mu.atoms, mu.weights, mu.delta)
+
+
+def _counting(monkeypatch, *names):
+    """Wrap module functions of ``energies`` to count their calls."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(energies, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(energies, name, counted)
+    return calls
+
+
+def _no_close_pairs_cantor():
+    """n = 2, dimension 0.75, depth 3 Cantor (N = 64) at eps = delta."""
+    mu = cantor_measure(cantor_spec_for_dimension(2, 0.75, 3))
+    assert _close_pair_count(mu, mu.delta) == 0
+    return mu, mu.delta
+
+
+SQUARE_CASES = {
+    "no-close-pairs": lambda rng: _no_close_pairs_cantor(),
+    "close-pairs": lambda rng: _close_pair_case(rng, "random"),
+    "dense-close-pairs": _dense_random_measure,
+}
+
+
+class TestSquareCache:
+    """The completed square is computed once per measure and (alpha, eps)."""
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+    @pytest.mark.parametrize("case", sorted(SQUARE_CASES))
+    def test_one_pass_for_three_functionals(self, rng, monkeypatch, case, reverse):
+        mu, eps = SQUARE_CASES[case](rng)
+        window = TruncationWindow(eps)
+        functionals = {
+            "symmetrization": lambda m: symmetrization_energy(m, P2, window),
+            "riesz_l2": lambda m: riesz_l2_energy(m, P2, eps),
+            "combined": lambda m: maximal_potential_energy(m, P2, window),
+        }
+        want = {name: f(_fresh(mu)) for name, f in functionals.items()}
+        calls = _counting(monkeypatch, "_transform_at_atoms", "_close_pairs")
+        names = sorted(functionals, reverse=reverse)
+        got = {name: functionals[name](mu) for name in names}
+        assert calls == {"_transform_at_atoms": 1, "_close_pairs": 1}
+        assert got == want
+        cached = mu._cache[("square", 0.5, eps)]
+        assert (cached is None) == (case == "dense-close-pairs")
+
+    def test_certificate_recompute_leaves_the_cache_intact(self):
+        mu, eps = _cancelling_measure()
+        window = TruncationWindow(eps)
+        first = symmetrization_potentials_sq_at_atoms(mu, P2, window)
+        square = energies._completed_square(mu, 0.5, eps)
+        # Every center fails the certificate and is recomputed directly.
+        tau = energies.CERTIFICATE_TAU
+        assert np.all(np.abs(square.gram + square.cross) <= tau * square.magnitude)
+        assert not any(array.flags.writeable for array in square)
+        energy = symmetrization_energy(mu, P2, window)
+        first[:] = 1.0
+        again = symmetrization_potentials_sq_at_atoms(mu, P2, window)
+        assert np.array_equal(again, symmetrization_potentials_sq_at_atoms(_fresh(mu), P2, window))
+        assert energy == symmetrization_energy(_fresh(mu), P2, window)
+        r = riesz_transform_at_atoms(mu, P2, eps)
+        r[:] = 1.0
+        assert np.array_equal(riesz_transform_at_atoms(mu, P2, eps),
+                              riesz_transform_at_atoms(_fresh(mu), P2, eps))
+
+    def test_other_weights_do_not_see_the_entry(self, rng):
+        mu, eps = _close_pair_case(rng, "random")
+        window = TruncationWindow(eps)
+        symmetrization_energy(mu, P2, window)
+        nu = mu.with_weights(rng.uniform(0.3, 1.7, mu.size))
+        assert ("square", 0.5, eps) in mu._cache
+        assert ("square", 0.5, eps) not in nu._cache
+        energy = symmetrization_energy(nu, P2, window)
+        assert energy == symmetrization_energy(_fresh(nu), P2, window)
+        assert np.array_equal(symmetrization_potentials_sq_at_atoms(nu, P2, window),
+                              symmetrization_potentials_sq_at_atoms(_fresh(nu), P2, window))
+
+    def test_transform_sweep_caches_nothing(self, rng, monkeypatch):
+        mu = make_random_measure(rng, 12)
+        calls = _counting(monkeypatch, "_close_pairs")
+        for eps in (0.05, 0.2, 0.6):
+            riesz_l2_energy(mu, P2, eps)
+        assert calls == {"_close_pairs": 0}
+        assert not any(isinstance(key, tuple) for key in mu._cache)
 
 
 _CAPPED_RUN = """
@@ -501,7 +602,7 @@ class TestEnergyReport:
         mu = cantor_measure(cantor_spec_for_dimension(2, 0.75, 2))
         window = TruncationWindow(mu.delta)
         sweep = default_eps_sweep(mu, window.eps)
-        calls = {"maximal": 0, "l2": 0}
+        calls = {"maximal": 0, "l2": 0, "transform_at_window": 0}
 
         def counted_maximal(*args, **kwargs):
             calls["maximal"] += 1
@@ -511,18 +612,30 @@ class TestEnergyReport:
             calls["l2"] += 1
             return riesz_l2_energy(mu_, params, eps)
 
+        transform = energies._transform_at_atoms
+
+        def counted_transform(mu_, alpha, eps, *args, **kwargs):
+            calls["transform_at_window"] += eps == window.eps
+            return transform(mu_, alpha, eps, *args, **kwargs)
+
         monkeypatch.setattr(energies, "maximal_at_atoms", counted_maximal)
         monkeypatch.setattr(energies, "riesz_l2_energy", counted_l2)
+        monkeypatch.setattr(energies, "_transform_at_atoms", counted_transform)
         report = energy_report(mu, P2, window)
         assert calls["maximal"] == 1
-        assert calls["l2"] == len(sweep)
+        assert calls["l2"] == len(sweep) + 1
+        assert calls["transform_at_window"] == 1
         assert sweep[0] == window.eps
         monkeypatch.undo()
-        # The shared evaluations leave every field bit-identical.
-        assert report.riesz_l2 == riesz_l2_energy(mu, P2, window.eps)
-        assert report.sup_riesz_l2 == max(riesz_l2_energy(mu, P2, float(e)) for e in sweep)
-        assert report.maximal_potential == maximal_potential_energy(mu, P2, window)
-        m_vals = maximal_at_atoms(mu, 0.5, r_min=window.eps, r_max=window.outer)
+        # The shared evaluations leave every field bit-identical to the same
+        # functional on a measure with an empty cache.
+        exps = energies.WolffExponents.matched(P2)
+        assert report.symmetrization == symmetrization_energy(_fresh(mu), P2, window)
+        assert report.riesz_l2 == riesz_l2_energy(_fresh(mu), P2, window.eps)
+        assert report.sup_riesz_l2 == max(riesz_l2_energy(_fresh(mu), P2, float(e)) for e in sweep)
+        assert report.wolff == energies.wolff_energy(_fresh(mu), exps, window)
+        assert report.maximal_potential == maximal_potential_energy(_fresh(mu), P2, window)
+        m_vals = maximal_at_atoms(_fresh(mu), 0.5, r_min=window.eps, r_max=window.outer)
         assert report.max_maximal == float(m_vals.max())
 
     def test_supplied_sweep_keeps_its_meaning(self):

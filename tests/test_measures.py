@@ -101,6 +101,15 @@ class TestDiscreteMeasure:
         nu._cache["scratch"] = 1.0
         assert "scratch" not in mu._cache
 
+    def test_with_weights_of_its_own_weights_is_the_measure(self, rng):
+        mu = make_random_measure(rng, 10)
+        assert mu.with_weights(mu.weights.copy()) is mu
+        assert mu.with_weights(mu.weights.tolist()) is mu
+        assert mu.with_weights(mu.weights[:, None]) is mu
+        other = mu.weights.copy()
+        other[3] = np.nextafter(other[3], 2.0)
+        assert mu.with_weights(other) is not mu
+
     def test_with_weights_before_geometry_is_built(self, rng):
         mu = make_random_measure(rng, 6)
         nu = mu.with_weights(np.ones(mu.size))
