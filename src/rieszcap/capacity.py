@@ -12,9 +12,10 @@ dual exponent is 2, making the objective a smooth cubic polynomial of the
 weights, whereas the combined energy carries a maximal function and square
 roots.  The two energies are comparable, so minimizers are interchangeable
 up to constants; the combined energy is evaluated on the Wolff-optimal
-witness (and optionally refined by a few subgradient steps).  A
-comparability report runs the optimizer once: its Wolff proxy and its
-energy proxy share that one witness.
+witness, and optionally refined by a few subgradient steps that take the
+bilinear form of the squared potentials by polarization, in O(N^2 + N P)
+for P close pairs.  A comparability report runs the optimizer once: its
+Wolff proxy and its energy proxy share that one witness.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ import numpy as np
 from .energies import (
     TruncationWindow,
     WolffExponents,
-    _kernel_rows,
-    _pair_field,
     _wolff_beta,
     _wolff_drops,
     maximal_potential_energy,
@@ -303,61 +302,59 @@ def _refine_combined(support, params, window, w0, cfg, iters: int = 25):
             return maximal_potential_energy(self._measure(w), params, window)
 
         def energy_and_gradient(self, w):
-            mu = self._measure(w)
-            return (maximal_potential_energy(mu, params, window),
-                    _combined_subgradient(mu, params, window))
+            return _combined_subgradient(self._measure(w), params, window)
 
     small_cfg = OptimizerConfig(max_iters=min(cfg.max_iters, iters),
                                 tolerance=cfg.tolerance)
     return _descend(_Objective(), w0, small_cfg)
 
 
-def _combined_subgradient(mu, params, window) -> np.ndarray:
-    """Subgradient of sum_i w_i (M_i + sqrt(pp_i)) in the weights of mu."""
-    alpha = params.alpha
+def _combined_subgradient(mu, params, window) -> tuple:
+    """Combined energy sum_i w_i (M_i + sqrt(pp_i)) and a subgradient.
+
+    The energy equals ``maximal_potential_energy`` bit for bit.  In the
+    weights of mu, the potential part has the derivative sqrt(pp_m) +
+    2 B(u, w)_m with u = w / (2 sqrt(pp)) (``_pp_polarized``), in
+    O(N^2 + N P) for P close pairs.
+    """
+    alpha, eps, outer = params.alpha, window.eps, window.outer
+    w = mu.weights
     m_vals = np.empty(mu.size)
     r_star = np.empty(mu.size)
     for rows, order, sorted_d in _sorted_rows(mu):
-        cum = np.cumsum(mu.weights[order], axis=1)
-        r = np.clip(sorted_d, window.eps, window.outer)
+        cum = np.cumsum(w[order], axis=1)
+        r = np.maximum(sorted_d, eps)
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.where((cum > 0.0) & (sorted_d <= window.outer), cum / r**alpha, 0.0)
+            vals = np.where((cum > 0.0) & (r <= outer), cum / r**alpha, 0.0)
         best = np.argmax(vals, axis=1)[:, None]
         m_vals[rows] = np.take_along_axis(vals, best, axis=1)[:, 0]
         r_star[rows] = np.take_along_axis(r, best, axis=1)[:, 0]
-    # dM_i/dw_m = [d_im <= r*_i] / r*_i^alpha at the attaining radius.
-    ind = mu.distance_matrix() <= r_star[:, None]
-    grad_m_term = m_vals + (mu.weights * (1.0 / r_star**alpha)) @ ind
     pp = symmetrization_potentials_sq_at_atoms(mu, params, window)
     root = np.sqrt(pp)
-    u = np.where(root > 0.0, 0.5 * mu.weights / np.maximum(root, 1e-300), 0.0)
-    bilinear = _pp_bilinear_at_atoms(mu, params, window, u)
-    return grad_m_term + root + 2.0 * bilinear
+    energy = float(np.dot(w, m_vals + root))
+    # dM_i/dw_m = [d_im <= r*_i] / r*_i^alpha at the attaining radius.
+    ind = mu.distance_matrix() <= r_star[:, None]
+    grad_m_term = m_vals + (w * (1.0 / r_star**alpha)) @ ind
+    u = np.where(root > 0.0, 0.5 * w / np.maximum(root, 1e-300), 0.0)
+    return energy, grad_m_term + root + 2.0 * _pp_polarized(mu, params, window, pp, u)
 
 
-def _pp_bilinear_at_atoms(mu, params, window, left) -> np.ndarray:
-    """B_m = sum_{i,k} left_i w_k sym(x_m, x_i, x_k) over separated triples."""
-    eps = window.eps
-    d = mu.distance_matrix()
-    vis = d > eps
-    w = mu.weights
-    out = np.empty(mu.size)
-    lcoef = np.where(vis, left[None, :], 0.0)
-    rcoef = np.where(vis, w[None, :], 0.0)
-    for m in range(mu.size):
-        kernels = _kernel_rows(mu, params.alpha, eps, m, m + 1)[0]  # k(x_j - x_m)
-        lc = lcoef[m]
-        rc = rcoef[m]
-        gram = (kernels @ kernels.T) * vis
-        base = lc @ gram @ rc
-        # cross legs between the two moving atoms
-        f_r = _pair_field(mu, params.alpha, eps, rc)
-        f_l = _pair_field(mu, params.alpha, eps, lc)
-        cross = float(np.einsum("kn,kn->", kernels * lc[:, None], f_r)) + float(
-            np.einsum("kn,kn->", kernels * rc[:, None], f_l)
-        )
-        out[m] = base + cross
-    return out
+def _pp_polarized(mu, params, window, pp, left) -> np.ndarray:
+    """B_m = sum_{i,k} left_i w_k sym(x_m, x_i, x_k) over separated triples.
+
+    The squared potentials pp = Q(w) of mu are a quadratic form of the
+    weights, so B = [Q(w + c left) - Q(w) - Q(c left)] / (2c) with
+    c = sum w / sum left; each Q is a certified completed square.
+    """
+    total = float(left.sum())
+    if total <= 0.0:
+        return np.zeros(mu.size)
+    c = float(mu.weights.sum()) / total
+    both, scaled = (
+        symmetrization_potentials_sq_at_atoms(mu.with_weights(v), params, window)
+        for v in (mu.weights + c * left, c * left)
+    )
+    return (both - pp - scaled) / (2.0 * c)
 
 
 # ---------------------------------------------------------------------------

@@ -22,26 +22,28 @@ The triple sum, the transform's L2 energy and the squared potentials at
 atoms share one evaluation: the completed square of a measure at one
 (alpha, eps) is computed in one pass and kept, read-only, in that
 measure's cache, so each further functional at the same cutoff reads it.
-Grouped by center m, the triple sum is 3 sum_m w_m S_m, where S_m
-sums w_j w_k K_mj . K_mk over ordered pairs of distinct atoms that m sees
-beyond eps and that are themselves more than eps apart.  S_m is the
+The squared potential at atom m is gram_m + X_m.  The center-leg part
+gram_m sums w_j w_k K_mj . K_mk over ordered pairs of distinct atoms that
+m sees beyond eps and that are themselves more than eps apart: the
 completed square |R_m|^2 minus its diagonal j = k and the enumerated close
-pairs, which costs O(N^2 + N P) for P close pairs.  The squared potential
-at atom i adds the cross part X_i, whose legs join the two moving atoms.
-With v = [d > eps] and K_kj = k_a(x_j - x_k), splitting v_ij into
-1 - [i = j] - [(i, j) close] gives X_i = 2 (T1_i - T2_i - T3_i): T1 is
-sum_k w_k v_ik K_ki . R_k, accumulated in the pass that forms R; T2 reuses
-the diagonal's powers d^(-2 alpha); T3 gathers the close-pair dot products
-pair by pair.  So the squared potentials cost O(N^2 + N P) as well.
-The close-pair dot products are gathered from the kernel rows of the
-transform's row-block pass, so no kernel power is computed twice and
-memory is O(N^2) plus one row block at any P below the dense threshold.
-The subtractions can cancel, so every result carries a certificate: when
-it is at most ``CERTIFICATE_TAU`` times the sum of the absolute terms it
-was computed from (the exact |dot| of every close-pair term among them),
-it is recomputed directly from the masked Gram matrix (and, for a
-potential, the cross field) at its center.  When close pairs are dense
-(P > N^2 / 4) every center is computed that way, so memory stays O(N^2).
+pairs, which costs O(N^2 + N P) for P close pairs.  The cross part X_m has
+the legs that join the two moving atoms.  With v = [d > eps] and
+K_kj = k_a(x_j - x_k), splitting v_ij into 1 - [i = j] - [(i, j) close]
+gives X_i = 2 (T1_i - T2_i - T3_i): T1 is sum_k w_k v_ik K_ki . R_k,
+accumulated in the pass that forms R; T2 reuses the diagonal's powers
+d^(-2 alpha); T3 gathers the close-pair dot products pair by pair.  So the
+squared potentials cost O(N^2 + N P) as well.  The close-pair dot products
+are gathered from the kernel rows of the transform's row-block pass, so no
+kernel power is computed twice and memory is O(N^2) plus one row block at
+any P below the dense threshold.
+The triple sum is sum_i w_i (gram_i + X_i): every triple is summed once
+around each of its three atoms (sum_i w_i X_i = 2 sum_k w_k gram_k).
+The subtractions can cancel, so each atom's squared potential carries one
+certificate: when it is at most ``CERTIFICATE_TAU`` times the sum of the
+absolute terms it was computed from (the exact |dot| of every close-pair
+term among them), both parts are recomputed directly from the masked Gram
+matrix and the cross field at that atom.  When close pairs are dense
+(P > N^2 / 4) every atom is computed that way, so memory stays O(N^2).
 """
 
 from __future__ import annotations
@@ -297,43 +299,40 @@ def symmetrization_energy(
     window.eps; equivalently six times the sum over unordered triples.
     Nonincreasing in eps for 0 < alpha < 1.  The outer window radius does
     not apply to triple sums.
+
+    Computed as sum_i w_i (gram_i + cross_i) over the certified parts of
+    the squared potentials: each triple is summed once around each of its
+    atoms.  This holds for every 0 < alpha < n and is not clamped.
     """
     _require_alpha_in(params, params.n)
     _check_dims(mu, params)
     _warn_below_delta(window, mu)
     if mu.size < 3:
         return 0.0
-    per_center = _center_sums(mu, params.alpha, window.eps)
-    return 3.0 * float(np.dot(mu.weights, per_center))
+    gram, cross = _certified_parts(mu, params.alpha, window.eps)
+    return float(np.dot(mu.weights, gram + cross))
 
 
-def _masked_gram_sum(kernels: np.ndarray, wv: np.ndarray, sep: np.ndarray) -> float:
-    """wv . ((K K^T) * sep) . wv for the kernel legs K of one center."""
-    gram = (kernels @ kernels.T) * sep
-    return float(wv @ gram @ wv)
+def _certified_parts(mu: DiscreteMeasure, alpha: float, eps: float) -> tuple:
+    """Center-leg and cross parts of the squared potential at every atom.
 
-
-def _center_sums(mu: DiscreteMeasure, alpha: float, eps: float) -> np.ndarray:
-    """For each center m: sum over separated ordered pairs of K_mj.K_mk w_j w_k.
-
-    Computed as |R_m|^2 minus the diagonal and the enumerated close pairs;
-    centers that fail the cancellation certificate, and every center when
-    close pairs are dense, are summed directly over their visible atoms.
+    Read from the completed square.  A center whose total is at most
+    ``CERTIFICATE_TAU`` times the magnitudes it was summed from, and every
+    center when close pairs are dense, is recomputed directly at the atom.
+    The arrays are fresh copies; the cached square is never written.
     """
-    d = mu.distance_matrix()
-    w = mu.weights
     square = _completed_square(mu, alpha, eps)
     if square is None:
-        sums = np.zeros(mu.size)
+        gram, cross = np.zeros(mu.size), np.zeros(mu.size)
         redo = np.arange(mu.size)
     else:
-        sums = square.gram.copy()
-        redo = np.flatnonzero(np.abs(sums) <= CERTIFICATE_TAU * square.gram_magnitude)
-    for m in redo:
-        seen = np.flatnonzero((d[m] > eps) & (w > 0.0))
-        kernels = _kernel_rows(mu, alpha, eps, m, m + 1)[0, seen]
-        sums[m] = _masked_gram_sum(kernels, w[seen], d[np.ix_(seen, seen)] > eps)
-    return sums
+        gram, cross = square.gram.copy(), square.cross.copy()
+        redo = np.flatnonzero(np.abs(gram + cross) <= CERTIFICATE_TAU * square.magnitude)
+    d = mu.distance_matrix()
+    for i in redo:
+        legs = _kernel_rows(mu, alpha, eps, i, i + 1)[0]
+        gram[i], cross[i] = _direct_potential_sq(mu, legs, d[i], alpha, eps)
+    return gram, cross
 
 
 class _Square(NamedTuple):
@@ -341,14 +340,13 @@ class _Square(NamedTuple):
 
     ``r`` is the truncated transform at the atoms, ``gram`` the center-leg
     sums and ``cross`` the cross part of the squared potentials;
-    ``gram_magnitude`` and ``magnitude`` add up the absolute terms that
-    ``gram`` and ``gram + cross`` were summed from.
+    ``magnitude`` adds up the absolute terms that ``gram + cross`` was
+    summed from.
     """
 
     r: np.ndarray
     gram: np.ndarray
     cross: np.ndarray
-    gram_magnitude: np.ndarray
     magnitude: np.ndarray
 
 
@@ -401,14 +399,12 @@ def _build_square(mu: DiscreteMeasure, alpha: float, eps: float):
         inv[rows <= eps] = 0.0
         diag[i0 : i0 + block] = inv @ ww
         inv_w[i0 : i0 + block] = inv @ w
-    gram = sq - diag - close
-    gram_magnitude = sq + diag + close_abs
     t2 = w * inv_w
     # T3_i gathers w_j s_ij over the close pairs (i, j) in both orders.
     t3 = np.bincount(a, w[b] * s, mu.size) + np.bincount(b, w[a] * s, mu.size)
     t3_abs = np.bincount(a, w[b] * s_abs, mu.size) + np.bincount(b, w[a] * s_abs, mu.size)
-    square = _Square(r, gram, 2.0 * (t1 - t2 - t3),
-                     gram_magnitude, gram_magnitude + 2.0 * (t1_abs + t2 + t3_abs))
+    square = _Square(r, sq - diag - close, 2.0 * (t1 - t2 - t3),
+                     sq + diag + close_abs + 2.0 * (t1_abs + t2 + t3_abs))
     for array in square:
         array.setflags(write=False)
     return square
@@ -516,7 +512,7 @@ def _direct_potential_sq(
     seen = np.flatnonzero((dist > eps) & (mu.weights > 0.0))
     legs, wv, x = legs[seen], mu.weights[seen], mu.atoms[seen]
     sep = d[np.ix_(seen, seen)] > eps
-    base = _masked_gram_sum(legs, wv, sep)
+    base = float(wv @ ((legs @ legs.T) * sep) @ wv)
     cross = 0.0
     block = _row_block(len(seen), mu.n)
     for k0 in range(0, len(seen), block):
@@ -527,17 +523,6 @@ def _direct_potential_sq(
         field = np.einsum("kjn,kj,j->kn", x[k0 : k0 + block, None, :] - x[None, :, :], scale, wv)
         cross += 2.0 * float(np.einsum("kn,kn,k->", legs[k0 : k0 + block], field, wv[k0 : k0 + block]))
     return base, cross
-
-
-def _pair_field(mu: DiscreteMeasure, alpha: float, eps: float, coeffs: np.ndarray) -> np.ndarray:
-    """F_k = sum_j coeffs_j sep_jk k_a(x_k - x_j), accumulated over row blocks."""
-    out = np.zeros((mu.size, mu.n))
-    block = _row_block(mu.size, mu.n)
-    for j0 in range(0, mu.size, block):
-        j1 = min(j0 + block, mu.size)
-        kernels = _kernel_rows(mu, alpha, eps, j0, j1)  # [j, k] = sep_jk k(x_k - x_j)
-        out += np.einsum("jkn,j->kn", kernels, coeffs[j0:j1])
-    return out
 
 
 def symmetrization_potentials_sq_at_atoms(
@@ -559,18 +544,7 @@ def symmetrization_potentials_sq_at_atoms(
     _require_alpha_in(params, 1.0)
     _check_dims(mu, params)
     _warn_below_delta(window, mu)
-    alpha, eps = params.alpha, window.eps
-    square = _completed_square(mu, alpha, eps)
-    if square is None:
-        gram, cross = np.zeros(mu.size), np.zeros(mu.size)
-        redo = np.arange(mu.size)
-    else:
-        gram, cross = square.gram.copy(), square.cross.copy()
-        redo = np.flatnonzero(np.abs(gram + cross) <= CERTIFICATE_TAU * square.magnitude)
-    d = mu.distance_matrix()
-    for i in redo:
-        legs = _kernel_rows(mu, alpha, eps, i, i + 1)[0]
-        gram[i], cross[i] = _direct_potential_sq(mu, legs, d[i], alpha, eps)
+    gram, cross = _certified_parts(mu, params.alpha, window.eps)
     pp = gram + cross
     floor = -_CANCEL_RTOL * (np.abs(gram) + np.abs(cross) + 1e-300)
     if np.any(pp < floor):

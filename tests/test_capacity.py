@@ -26,6 +26,7 @@ from rieszcap.energies import (
     TruncationWindow,
     WolffExponents,
     maximal_potential_energy,
+    symmetrization_potentials_sq_at_atoms,
     wolff_energy,
     wolff_potentials_at_atoms,
 )
@@ -34,6 +35,7 @@ from rieszcap.experiments import DepthTrend, depth_trend, semiadditivity_probe, 
 from rieszcap.kernels import KernelParams
 from rieszcap.measures import DiscreteMeasure, cantor_measure, cantor_spec_for_dimension
 from rieszcap.oracles import wolff_cubic_form
+from test_energies import _cancelling_measure
 
 P2 = KernelParams(0.5, 2)
 MATCHED = WolffExponents.matched(P2)
@@ -223,27 +225,72 @@ class TestPositiveCapacity:
         assert refined.value >= plain.value * (1 - 1e-12)
 
     def test_refinement_completes_one_square_per_weight_vector(self, rng, monkeypatch):
+        # Every weight vector completes its square once: a line-search trial
+        # and the gradient at the accepted trial share it, and so do the
+        # two auxiliary squares that each gradient builds by polarization.
         mu = make_random_measure(rng, 8)
         window = TruncationWindow(0.08)
-        seen = set()
+        squares = []
+        calls = {"combined": 0, "trials": 0}
         combined = capacity.maximal_potential_energy
         transform = energies._transform_at_atoms
-        calls = {"transform": 0}
+        project = capacity.project_to_simplex
 
-        def recorded(m, *args):
-            seen.add(m.weights.tobytes())
-            return combined(m, *args)
+        def counted_combined(*args):
+            calls["combined"] += 1
+            return combined(*args)
 
-        def counted(*args, **kwargs):
-            calls["transform"] += 1
-            return transform(*args, **kwargs)
+        def counted_transform(m, *args, **kwargs):
+            squares.append(m.weights.tobytes())
+            return transform(m, *args, **kwargs)
 
-        monkeypatch.setattr(capacity, "maximal_potential_energy", recorded)
-        monkeypatch.setattr(energies, "_transform_at_atoms", counted)
+        def counted_project(v):
+            calls["trials"] += 1
+            return project(v)
+
+        monkeypatch.setattr(capacity, "maximal_potential_energy", counted_combined)
+        monkeypatch.setattr(energies, "_transform_at_atoms", counted_transform)
+        monkeypatch.setattr(capacity, "project_to_simplex", counted_project)
         w0 = np.linspace(1.0, 2.0, mu.size)
         _, _, diag = capacity._refine_combined(mu, P2, window, w0 / w0.sum(), OptimizerConfig())
         assert diag["iterations"] >= 2
-        assert calls["transform"] == len(seen)
+        assert len(squares) == len(set(squares))
+        assert calls["combined"] == calls["trials"]
+
+    def test_subgradient_without_potential(self):
+        # Every squared potential vanishes, so the bilinear term's left
+        # weights are all zero: no zero-mass measure may be built.
+        mu, eps = _cancelling_measure()
+        window = TruncationWindow(eps)
+        energy, grad = capacity._combined_subgradient(mu, P2, window)
+        assert energy == maximal_potential_energy(mu, P2, window)
+        assert np.all(np.isfinite(grad))
+
+    def test_subgradient_matches_central_differences(self, rng):
+        mu = make_random_measure(rng, 10)
+        window = TruncationWindow(0.05)
+        w = rng.uniform(0.3, 1.7, mu.size)
+        w /= w.sum()
+        # Every atom's maximal radius is attained with a clear margin, and
+        # every squared potential is positive: the energy is smooth at w.
+        d = mu.distance_matrix()
+        for i in range(mu.size):
+            order = np.argsort(d[i], kind="stable")
+            vals = np.cumsum(w[order]) / np.maximum(d[i, order], window.eps) ** P2.alpha
+            top = np.sort(vals)[-2:]
+            assert top[1] - top[0] > 1e-3 * top[1]
+        nu = mu.with_weights(w)
+        assert np.all(symmetrization_potentials_sq_at_atoms(nu, P2, window) > 0.0)
+        energy, grad = capacity._combined_subgradient(nu, P2, window)
+        assert energy == maximal_potential_energy(nu, P2, window)
+        h = 1e-6
+        for _ in range(3):
+            v = rng.normal(size=mu.size)
+            v -= v.mean()
+            plus = maximal_potential_energy(mu.with_weights(w + h * v), P2, window)
+            minus = maximal_potential_energy(mu.with_weights(w - h * v), P2, window)
+            want = (plus - minus) / (2.0 * h)
+            assert float(grad @ v) == pytest.approx(want, rel=1e-6)
 
 
 class TestChebyshevRestriction:

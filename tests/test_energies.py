@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import make_random_measure
 from rieszcap import energies
-from rieszcap.capacity import _pp_bilinear_at_atoms
+from rieszcap.capacity import _pp_polarized
 from rieszcap.energies import (
     TruncationWindow,
     ball_mass_double_sum,
@@ -37,6 +37,7 @@ from rieszcap.measures import (
 from rieszcap.oracles import (
     _dist,
     naive_ball_mass_double_sum,
+    naive_pp_bilinear,
     naive_riesz_l2_energy,
     naive_symmetrization_energy,
     naive_symmetrization_potential_sq,
@@ -184,6 +185,17 @@ class TestSymmetrizationEnergy:
             assert want == 0.0
             assert got == 0.0
         else:
+            assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("n, alpha", [(2, 1.2), (2, 1.7), (3, 2.4)])
+    def test_alpha_at_least_one_matches_naive(self, rng, n, alpha):
+        # The symmetrization changes sign for alpha >= 1, so the certified
+        # parts of the squared potentials sum terms of both signs.
+        mu = make_random_measure(rng, 12, n=n)
+        params = KernelParams(alpha, n)
+        for eps in (0.05, 0.4):
+            got = symmetrization_energy(mu, params, TruncationWindow(eps))
+            want = naive_symmetrization_energy(mu, alpha, eps)
             assert got == pytest.approx(want, rel=1e-12)
 
     @settings(max_examples=100, deadline=None)
@@ -338,15 +350,22 @@ class TestPointwisePotential:
         want = [naive_symmetrization_potential_sq(mu, x, alpha, eps) for x in mu.atoms]
         assert np.allclose(got, want, rtol=1e-11, atol=1e-14)
 
-    @pytest.mark.parametrize("case", ["random", "cantor-depth-3"])
-    def test_batched_matches_refine_bilinear(self, rng, case):
-        # The refine step's per-center loop sums the same double sum with
-        # pair fields and masked Gram matrices, sharing no completed square.
-        mu, eps = _close_pair_case(rng, case)
+    @pytest.mark.parametrize("case", ["random", "cantor-depth-3", "dense", "zero-left"])
+    def test_polarized_bilinear_matches_naive(self, rng, case):
+        # The refine subgradient's bilinear form, by polarization of three
+        # completed squares, against a scalar loop over every triple.
+        if case == "dense":
+            mu, eps = _dense_random_measure(rng)
+        else:
+            mu, eps = _close_pair_case(rng, "cantor" if case == "cantor-depth-3" else "random")
         window = TruncationWindow(eps)
-        got = symmetrization_potentials_sq_at_atoms(mu, P2, window)
-        want = _pp_bilinear_at_atoms(mu, P2, window, mu.weights)
-        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+        left = rng.uniform(0.3, 1.7, mu.size)
+        if case == "zero-left":
+            left[::3] = 0.0
+        pp = symmetrization_potentials_sq_at_atoms(mu, P2, window)
+        got = _pp_polarized(mu, P2, window, pp, left)
+        want = naive_pp_bilinear(mu, 0.5, eps, left)
+        assert np.allclose(got, want, rtol=1e-11, atol=1e-14)
 
     def test_alpha_domain(self, random_measure):
         with pytest.raises(DomainError):
@@ -380,9 +399,7 @@ class TestRowBlocks:
             fresh = DiscreteMeasure(mu.atoms, mu.weights, mu.delta)
             blocked = energies._completed_square(fresh, 0.5, eps)
             # The magnitudes only decide which centers are recomputed.
-            for got, want in ((blocked.magnitude, square.magnitude),
-                              (blocked.gram_magnitude, square.gram_magnitude)):
-                assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+            assert np.allclose(blocked.magnitude, square.magnitude, rtol=1e-12, atol=0.0)
             blocked_energy = symmetrization_energy(fresh, P2, window)
             blocked_pp = symmetrization_potentials_sq_at_atoms(fresh, P2, window)
             assert blocked_energy == pytest.approx(energy, rel=1e-12)
