@@ -5,7 +5,9 @@ by the support: the reciprocal of the combined maximal-plus-potential
 energy (positive-capacity route), and the reciprocal of the Wolff energy
 raised to p - 1 (nonlinear Riesz-capacity route).  Atom positions stay
 fixed; only the weight vector moves, by projected gradient descent on the
-probability simplex.
+probability simplex.  The Wolff descent runs over the support's symmetry
+orbits (see ``_WolffObjective``): on a corner-Cantor support each step
+costs O(R N) for R orbits instead of O(N^2).
 
 The Wolff energy is the optimization target: for the matched exponents its
 dual exponent is 2, making the objective a smooth cubic polynomial of the
@@ -40,7 +42,7 @@ from .errors import (
     UnsupportedExponentError,
 )
 from .kernels import KernelParams
-from .measures import DiscreteMeasure, _row_order, _sorted_rows, measure_to_json
+from .measures import DiscreteMeasure, _orbits, _row_order, _sorted_rows, measure_to_json
 
 METHOD_ENERGY = "max-potential-energy"
 METHOD_WOLFF = "wolff-energy"
@@ -104,14 +106,24 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
 class _WolffObjective:
     """E(w) = sum_i w_i integral (m_i(r; w)/r^trace)^e dr/r on a fixed support.
 
-    Shares the support's cached row order and precomputes, per atom row,
-    the piece drops and the flat index that gathers per-piece sums back to
-    atoms.  ``energy`` costs one O(N^2) prefix-sum pass and keeps that pass
-    until the next call;
+    The objective works on the support's symmetry orbits (``_orbits``):
+    the weights must be constant on each orbit, and then so are the
+    per-atom potentials, so only one representative row per orbit is
+    read.  The rows of the support's cached row order at the R
+    representatives give, per row, the piece drops and the flat index that
+    gathers per-piece sums back to atoms.  With orbit sizes |O_r| the
+    energy is sum_r |O_r| w_r pot_r; the gradient at an atom m of orbit
+    O is pot_m + e * mean over m' in O of u_m', with u = (|O| w)_reps @ J
+    and J the representatives' gathered suffix sums.  ``energy`` costs one
+    O(R N) prefix-sum pass and keeps that pass until the next call;
     ``energy_and_gradient`` at the same weights reuses it (as ``_descend``
     does on every accepted step) and adds only the suffix-sum pass and the
-    gather.  Gradient requires e >= 1 (p <= 2) so the integrand stays
-    differentiable where cumulative masses vanish.
+    gather.  The descent's steps are equivariant and its projection onto
+    the simplex acts elementwise after one shift, so every iterate from
+    the uniform start is bitwise orbit-invariant; other weights raise
+    ``DomainError``.  With singleton orbits R = N and the arithmetic is the
+    unreduced one.  Gradient requires e >= 1 (p <= 2) so the integrand
+    stays differentiable where cumulative masses vanish.
     """
 
     def __init__(self, support: DiscreteMeasure, exps: WolffExponents,
@@ -125,18 +137,32 @@ class _WolffObjective:
         self.exps = exps
         self.beta = beta
         size = support.size
-        self.order = _row_order(support)
-        # flat[i, m] is the position of atom m's piece in row i of the
-        # row-reversed suffix sums, flattened: i * N + (N - 1 - rank).
+        self.reps, self.index, counts = np.unique(
+            _orbits(support), return_inverse=True, return_counts=True)
+        self.counts = counts.astype(float)
+        reps = len(self.reps)
+        # Singleton orbits read the cached order itself, not an N x N copy.
+        rows = None if reps == size else self.reps
+        order = _row_order(support)
+        self.order = order if rows is None else order[rows]
+        # flat[r, m] is the position of atom m's piece in row r of the
+        # row-reversed suffix sums, flattened: r * N + (N - 1 - rank).
         self.flat = np.empty_like(self.order)
         np.put_along_axis(
-            self.flat, self.order, np.arange(size * size).reshape(size, size)[:, ::-1],
+            self.flat, self.order, np.arange(reps * size).reshape(reps, size)[:, ::-1],
             axis=1,
         )
-        self.drop = np.empty((size, size))
-        for rows, _, sorted_d in _sorted_rows(support):
-            self.drop[rows] = _wolff_drops(sorted_d, beta, window) / beta
+        self.drop = np.empty((reps, size))
+        for block, _, sorted_d in _sorted_rows(support, rows):
+            self.drop[block] = _wolff_drops(sorted_d, beta, window) / beta
         self._last = None  # (w, cum, pot) of the latest energy() call
+
+    def _mass(self, w: np.ndarray) -> np.ndarray:
+        """|O_r| w_r at the representatives, after checking invariance."""
+        rep_w = w[self.reps]
+        if not np.array_equal(rep_w[self.index], w, equal_nan=True):
+            raise DomainError("weights are not constant on the support's symmetry orbits")
+        return self.counts * rep_w
 
     def _prefix(self, w: np.ndarray) -> tuple:
         cum = np.cumsum(w[self.order], axis=1)
@@ -144,12 +170,14 @@ class _WolffObjective:
 
     def energy(self, w: np.ndarray) -> float:
         self._last = None  # release the previous pass before making a new one
+        mass = self._mass(w)
         cum, pot = self._prefix(w)
         self._last = (w.copy(), cum, pot)
-        return float(np.dot(w, pot))
+        return float(np.dot(mass, pot))
 
     def energy_and_gradient(self, w: np.ndarray) -> tuple:
         e = self.exps.dual_exp
+        mass = self._mass(w)
         last, self._last = self._last, None
         if last is not None and np.array_equal(last[0], w):
             _, cum, pot = last
@@ -159,8 +187,9 @@ class _WolffObjective:
         # suffix sums over the sorted pieces, gathered back per atom.
         suffix = np.cumsum((cum ** (e - 1.0) * self.drop)[:, ::-1], axis=1)
         j = np.take(suffix, self.flat)
-        grad = pot + e * (w @ j)
-        return float(np.dot(w, pot)), grad
+        u = np.bincount(self.index, mass @ j, len(self.reps)) / self.counts
+        grad = pot + e * u
+        return float(np.dot(mass, pot)), grad[self.index]
 
 
 def _descend(objective, w0: np.ndarray, cfg: OptimizerConfig) -> tuple:
@@ -215,14 +244,17 @@ def minimize_wolff_energy(
 
     Returns value = 1 / E^(p-1) at the optimal weights (1/sqrt(E) for
     p = 3/2), the witnessing probability measure, and optimizer
-    diagnostics.  Accepted iterations never increase the energy; if the
-    iteration cap is hit the best iterate is returned with
-    ``converged = 0`` in the diagnostics.
+    diagnostics; ``orbits`` is the number R of symmetry orbits the
+    objective read one row each for (N on a support without symmetries).
+    Accepted iterations never increase the energy; if the iteration cap is
+    hit the best iterate is returned with ``converged = 0`` in the
+    diagnostics.
     """
     objective = _WolffObjective(support, exps, window)
     w0 = np.full(support.size, 1.0 / support.size)
     w, energy, diag = _descend(objective, w0, cfg)
     diag["energy"] = energy
+    diag["orbits"] = float(len(objective.reps))
     witness = support.with_weights(w)
     return CapacityEstimate(
         value=energy ** -(exps.p - 1.0),
@@ -491,7 +523,9 @@ def bilipschitz_experiment(
 
     The truncation window is rescaled by the map's scale hint, so pure
     dilations report the clean homogeneity ratio while shape-distorting
-    maps are compared at the same truncation.
+    maps are compared at the same truncation.  A map generally breaks the
+    support's symmetries, so both sides run on singleton orbits: the same
+    arithmetic on both makes the identity map's ratio exactly 1.
     """
     if support.n != 2:
         raise DomainError("bilipschitz experiments are planar (n = 2)")
@@ -501,6 +535,7 @@ def bilipschitz_experiment(
         )
     pm = PLANAR_MAPS[map_id]
     params = KernelParams(alpha, 2)
+    support = DiscreteMeasure(support.atoms, support.weights, support.delta)
     before = estimate_positive_capacity(support, params, window, cfg)
     mapped_atoms = pm.apply(support.atoms)
     mapped = DiscreteMeasure(mapped_atoms, support.weights, delta=None)

@@ -44,6 +44,8 @@ absolute terms it was computed from (the exact |dot| of every close-pair
 term among them), both parts are recomputed directly from the masked Gram
 matrix and the cross field at that atom.  When close pairs are dense
 (P > N^2 / 4) every atom is computed that way, so memory stays O(N^2).
+Either way the recomputed parts are what the cache keeps, so a center is
+recomputed at most once per measure and cutoff.
 """
 
 from __future__ import annotations
@@ -309,55 +311,36 @@ def symmetrization_energy(
     _warn_below_delta(window, mu)
     if mu.size < 3:
         return 0.0
-    gram, cross = _certified_parts(mu, params.alpha, window.eps)
-    return float(np.dot(mu.weights, gram + cross))
-
-
-def _certified_parts(mu: DiscreteMeasure, alpha: float, eps: float) -> tuple:
-    """Center-leg and cross parts of the squared potential at every atom.
-
-    Read from the completed square.  A center whose total is at most
-    ``CERTIFICATE_TAU`` times the magnitudes it was summed from, and every
-    center when close pairs are dense, is recomputed directly at the atom.
-    The arrays are fresh copies; the cached square is never written.
-    """
-    square = _completed_square(mu, alpha, eps)
-    if square is None:
-        gram, cross = np.zeros(mu.size), np.zeros(mu.size)
-        redo = np.arange(mu.size)
-    else:
-        gram, cross = square.gram.copy(), square.cross.copy()
-        redo = np.flatnonzero(np.abs(gram + cross) <= CERTIFICATE_TAU * square.magnitude)
-    d = mu.distance_matrix()
-    for i in redo:
-        legs = _kernel_rows(mu, alpha, eps, i, i + 1)[0]
-        gram[i], cross[i] = _direct_potential_sq(mu, legs, d[i], alpha, eps)
-    return gram, cross
+    square = _completed_square(mu, params.alpha, window.eps)
+    return float(np.dot(mu.weights, square.gram + square.cross))
 
 
 class _Square(NamedTuple):
     """The completed square of one measure at one (alpha, eps), read-only.
 
     ``r`` is the truncated transform at the atoms, ``gram`` the center-leg
-    sums and ``cross`` the cross part of the squared potentials;
-    ``magnitude`` adds up the absolute terms that ``gram + cross`` was
-    summed from.
+    sums and ``cross`` the cross part of the squared potentials, both
+    certified (see ``_completed_square``).
     """
 
     r: np.ndarray
     gram: np.ndarray
     cross: np.ndarray
-    magnitude: np.ndarray
 
 
-def _completed_square(mu: DiscreteMeasure, alpha: float, eps: float):
-    """Completed-square sums per center and the magnitudes they cancel against.
+def _completed_square(mu: DiscreteMeasure, alpha: float, eps: float) -> _Square:
+    """Certified completed-square sums per center.
 
-    Returns a ``_Square``, or None when close pairs are dense
-    (P > N^2 / 4).  Either is computed once per measure and (alpha, eps)
-    and kept in the measure's own cache, which ``with_weights`` does not
-    carry over: the atoms and weights are read-only, so the entry cannot
-    go stale.  gram_m = |R_m|^2 - diag_m - close_m is the center-leg sum.
+    Computed once per measure and (alpha, eps) and kept in the measure's
+    own cache, which ``with_weights`` does not carry over: the atoms and
+    weights are read-only, so the entry cannot go stale.  A center whose
+    total is at most ``CERTIFICATE_TAU`` times the absolute terms it was
+    summed from, and every center when close pairs are dense
+    (P > N^2 / 4), is recomputed directly at the atom while the entry is
+    built, so each such center costs one O(S^2) direct pass per entry.
+    When close pairs are dense, ``r`` is the plain transform pass and
+    memory stays O(N^2).  gram_m = |R_m|^2 - diag_m - close_m is the
+    center-leg sum.
     Splitting v_ij = 1 - [i = j] - [(i, j) close] in the cross part of the
     squared potential gives x_i = 2 (T1_i - T2_i - T3_i) with
 
@@ -369,8 +352,9 @@ def _completed_square(mu: DiscreteMeasure, alpha: float, eps: float):
     The close-pair sums and the s_ab come from the kernel rows of
     ``_transform_at_atoms``, and the powers d^(-2 alpha) from row blocks
     of the distance matrix, so the memory beyond the O(N^2) distance
-    matrix is one block.  The magnitudes add up the absolute terms of
-    every part that was summed, each close-pair term with its exact |dot|.
+    matrix is one block.  The certificate's magnitudes add up the absolute
+    terms of every part that was summed, each close-pair term with its
+    exact |dot|.
     """
     key = ("square", alpha, eps)
     if key not in mu._cache:
@@ -378,10 +362,27 @@ def _completed_square(mu: DiscreteMeasure, alpha: float, eps: float):
     return mu._cache[key]
 
 
-def _build_square(mu: DiscreteMeasure, alpha: float, eps: float):
+def _build_square(mu: DiscreteMeasure, alpha: float, eps: float) -> _Square:
     pairs = _close_pairs(mu, eps)
     if len(pairs) > mu.size * mu.size // 4:
-        return None
+        r = _transform_at_atoms(mu, alpha, eps)[0]
+        gram, cross = np.zeros(mu.size), np.zeros(mu.size)
+        redo = np.arange(mu.size)
+    else:
+        r, gram, cross, magnitude = _square_sums(mu, alpha, eps, pairs)
+        redo = np.flatnonzero(np.abs(gram + cross) <= CERTIFICATE_TAU * magnitude)
+    d = mu.distance_matrix()
+    for i in redo:
+        legs = _kernel_rows(mu, alpha, eps, i, i + 1)[0]
+        gram[i], cross[i] = _direct_potential_sq(mu, legs, d[i], alpha, eps)
+    square = _Square(r, gram, cross)
+    for array in square:
+        array.setflags(write=False)
+    return square
+
+
+def _square_sums(mu: DiscreteMeasure, alpha: float, eps: float, pairs: np.ndarray) -> tuple:
+    """(r, gram, cross, magnitude) of the completed square, uncertified."""
     a, b = pairs.T
     d = mu.distance_matrix()
     w = mu.weights
@@ -403,11 +404,8 @@ def _build_square(mu: DiscreteMeasure, alpha: float, eps: float):
     # T3_i gathers w_j s_ij over the close pairs (i, j) in both orders.
     t3 = np.bincount(a, w[b] * s, mu.size) + np.bincount(b, w[a] * s, mu.size)
     t3_abs = np.bincount(a, w[b] * s_abs, mu.size) + np.bincount(b, w[a] * s_abs, mu.size)
-    square = _Square(r, sq - diag - close, 2.0 * (t1 - t2 - t3),
-                     sq + diag + close_abs + 2.0 * (t1_abs + t2 + t3_abs))
-    for array in square:
-        array.setflags(write=False)
-    return square
+    return (r, sq - diag - close, 2.0 * (t1 - t2 - t3),
+            sq + diag + close_abs + 2.0 * (t1_abs + t2 + t3_abs))
 
 
 # ---------------------------------------------------------------------------
@@ -538,13 +536,14 @@ def symmetrization_potentials_sq_at_atoms(
     products (see ``_completed_square``).  A center whose total is at
     most ``CERTIFICATE_TAU`` times the magnitudes it was summed from, and
     every center when close pairs are dense, is recomputed directly at the
-    atom.  Tiny negative totals are clamped to zero; an undershoot beyond
-    the expected float noise raises.
+    atom, once per measure and cutoff.  Tiny negative totals are clamped
+    to zero; an undershoot beyond the expected float noise raises.
     """
     _require_alpha_in(params, 1.0)
     _check_dims(mu, params)
     _warn_below_delta(window, mu)
-    gram, cross = _certified_parts(mu, params.alpha, window.eps)
+    square = _completed_square(mu, params.alpha, window.eps)
+    gram, cross = square.gram, square.cross
     pp = gram + cross
     floor = -_CANCEL_RTOL * (np.abs(gram) + np.abs(cross) + 1e-300)
     if np.any(pp < floor):

@@ -31,7 +31,10 @@ DEFAULT_ATOM_CAP = 65536
 _GAP_RTOL = 1e-12
 
 # Cache entries that depend on the atoms only, shared by every weight vector.
-_GEOMETRY = ("min_gap", "dist", "order", "diameter")
+# "orbits" holds each atom's symmetry-orbit id, the smallest atom index in
+# its orbit; only ``cantor_measure`` sets it, and a measure without it has
+# singleton orbits.
+_GEOMETRY = ("min_gap", "dist", "order", "diameter", "orbits")
 
 # Byte budget of one sorted row block (float64): small blocks keep the
 # consumers' temporaries cache-sized and far below the cached N x N order.
@@ -154,23 +157,32 @@ class DiscreteMeasure:
     # -- derived measures ----------------------------------------------------
 
     def translated(self, shift) -> "DiscreteMeasure":
+        """Shift atom positions; the symmetry orbits move with them."""
         v = as_point(shift, self.n)
-        return DiscreteMeasure(self.atoms + v, self.weights, self.delta)
+        return DiscreteMeasure(self.atoms + v, self.weights, self.delta, self._orbit_cache())
 
     def dilated(self, factor: float) -> "DiscreteMeasure":
-        """Scale atom positions (and delta) by a positive factor; mass fixed."""
+        """Scale atom positions (and delta) by a positive factor; mass fixed.
+
+        The symmetry orbits carry over: the dilation commutes with the
+        symmetries about the dilated center.
+        """
         if factor <= 0.0:
             raise DomainError(f"dilation factor must be positive, got {factor}")
-        return DiscreteMeasure(self.atoms * factor, self.weights, self.delta * factor)
+        return DiscreteMeasure(self.atoms * factor, self.weights, self.delta * factor,
+                               self._orbit_cache())
+
+    def _orbit_cache(self) -> dict:
+        return {"orbits": self._cache["orbits"]} if "orbits" in self._cache else {}
 
     def with_weights(self, weights) -> "DiscreteMeasure":
         """Same support with new weights.
 
         Weights equal to the measure's own return the measure itself, with
         its cache.  Otherwise the support's cached geometry (min gap,
-        distance matrix, row order, diameter) carries over to the new
-        measure in a cache of its own; the weights are checked as in the
-        constructor.
+        distance matrix, row order, diameter, symmetry orbits) carries over
+        to the new measure in a cache of its own; the weights are checked as
+        in the constructor.
         """
         if np.array_equal(np.asarray(weights, dtype=float).reshape(-1), self.weights):
             return self
@@ -291,7 +303,8 @@ def cantor_measure(spec: CantorSpec) -> DiscreteMeasure:
 
     Deterministic: corners are visited in lexicographic order level by
     level, so identical specs give bit-identical measures.  The resolution
-    delta equals the cell side base * ratio^m.
+    delta equals the cell side base * ratio^m.  The measure carries the
+    symmetry orbits of its atoms (``_cantor_orbits``).
     """
     lam = spec.ratio
     corners = np.array(
@@ -303,7 +316,38 @@ def cantor_measure(spec: CantorSpec) -> DiscreteMeasure:
         centers = shifted.reshape(-1, spec.n)
     atoms = spec.base * centers + np.asarray(spec.offset)
     weights = np.full(len(atoms), 1.0 / len(atoms))
-    return DiscreteMeasure(atoms, weights, delta=spec.cell_side)
+    return DiscreteMeasure(atoms, weights, spec.cell_side,
+                           {"orbits": _cantor_orbits(spec.n, spec.depth)})
+
+
+def _cantor_orbits(n: int, depth: int) -> np.ndarray:
+    """Orbit ids of the depth-m Cantor atoms under the symmetries of the cube.
+
+    Atom k has m base-2^n corner digits, the first level most significant,
+    and bit j of a digit (coordinate 0 most significant) is the corner's
+    coordinate j.  Read per coordinate, the bits form n columns of m bits.
+    The reflection x_j -> 1 - x_j about the cube center complements column
+    j, and a permutation of the coordinates permutes the columns: the
+    hyperoctahedral group acts on the columns alone, exactly.  The id is
+    the smallest index in the orbit: complementing every column whose
+    first bit is 1 and sorting the columns ascending (coordinate 0 first)
+    minimizes the index, whose bits interleave the columns level by level.
+    """
+    index = np.arange((2**n) ** depth)
+    shifts = np.arange(n * depth - 1, -1, -1)
+    columns = ((index[:, None] >> shifts) & 1).reshape(len(index), depth, n)
+    columns ^= columns[:, :1, :]
+    places = np.arange(depth - 1, -1, -1)
+    values = np.sort(np.einsum("kln,l->kn", columns, 1 << places), axis=1)
+    bits = (values[:, None, :] >> places[None, :, None]) & 1
+    ids = bits.reshape(len(index), n * depth) @ (1 << shifts)
+    ids.setflags(write=False)
+    return ids
+
+
+def _orbits(mu: DiscreteMeasure) -> np.ndarray:
+    """Each atom's symmetry-orbit id: the smallest atom index in its orbit."""
+    return mu._cache.get("orbits", np.arange(mu.size))
 
 
 # ---------------------------------------------------------------------------
@@ -379,19 +423,23 @@ def _row_order(mu: DiscreteMeasure) -> np.ndarray:
     return mu._cache["order"]
 
 
-def _sorted_rows(mu: DiscreteMeasure):
+def _sorted_rows(mu: DiscreteMeasure, subset=None):
     """Yield (rows, order, sorted distances) over blocks of atom rows.
 
     ``rows`` is a slice of atoms; ``order`` is its block of the cached row
     order and ``sorted distances`` the matching distance rows in that order.
-    Blocks hold whole rows, so a tie group never straddles two blocks.
+    With an index array ``subset``, only those rows are read and ``rows``
+    slices positions in ``subset``.  Blocks hold whole rows, so a tie group
+    never straddles two blocks.
     """
     d = mu.distance_matrix()
     order = _row_order(mu)
+    count = mu.size if subset is None else len(subset)
     block = max(1, _SORTED_BLOCK_BYTES // (8 * mu.size))
-    for i0 in range(0, mu.size, block):
+    for i0 in range(0, count, block):
         rows = slice(i0, i0 + block)
-        yield rows, order[rows], np.take_along_axis(d[rows], order[rows], axis=1)
+        sel = rows if subset is None else subset[rows]
+        yield rows, order[sel], np.take_along_axis(d[sel], order[sel], axis=1)
 
 
 def maximal_at_atoms(

@@ -489,7 +489,8 @@ def suite_chebyshev(seed: int = 0, cases: int = 100) -> SuiteResult:
 
 
 def suite_optimizer(seed: int = 0) -> SuiteResult:
-    """Simplex feasibility, monotone descent, and symmetry of optima."""
+    """Simplex feasibility, monotone descent, symmetry of optima, and the
+    orbit-reduced optimizer against the same support without orbits."""
     res = _new_result("optimizer-simplex")
     rng = _rng(seed, 10)
     cfg = cap.OptimizerConfig(max_iters=500, tolerance=1e-12)
@@ -551,6 +552,26 @@ def suite_optimizer(seed: int = 0) -> SuiteResult:
             <= wolff_energy(mu, exps, TruncationWindow(mu.delta)) * (1.0 + 1e-12),
             "optimized Cantor energy exceeds the uniform energy",
         )
+        # The reduced optimizer reads one row per symmetry orbit; the same
+        # atoms without orbits take every row and must give the same run.
+        for n, dim, depth in ((2, 0.75, 2), (1, 0.5, 5), (3, 1.5, 2)):
+            mu = cantor_measure(cantor_spec_for_dimension(n, dim, depth))
+            exps = WolffExponents.matched(KernelParams(0.5, n))
+            window = TruncationWindow(mu.delta)
+            reduced = cap.minimize_wolff_energy(mu, exps, window, cfg)
+            plain = cap.minimize_wolff_energy(
+                DiscreteMeasure(mu.atoms, mu.weights, mu.delta), exps, window, cfg)
+            w, w_plain = reduced.witness.weights, plain.witness.weights
+            res.record(
+                reduced.diagnostics["orbits"] < plain.diagnostics["orbits"] == mu.size,
+                f"n = {n} Cantor: the optimizer did not reduce to its orbits",
+            )
+            res.record(
+                reduced.diagnostics["iterations"] == plain.diagnostics["iterations"]
+                and _rel_close(reduced.diagnostics["energy"], plain.diagnostics["energy"], 1e-12)
+                and float(np.max(np.abs(w - w_plain))) <= 1e-12 * float(w_plain.max()),
+                f"n = {n} Cantor: the orbit-reduced optimizer departs from the orbit-free run",
+            )
     return res
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_random_measure
-from rieszcap import capacity, energies
+from rieszcap import capacity, energies, measures
 from rieszcap.capacity import (
     METHOD_ENERGY,
     METHOD_WOLFF,
@@ -140,14 +140,30 @@ def _cantor_support(rng):
     return mu, TruncationWindow(mu.delta)
 
 
+def _orbit_free(mu):
+    """The same atoms, weights and delta, with singleton orbits and no cache."""
+    return DiscreteMeasure(mu.atoms, mu.weights, mu.delta)
+
+
+def _orbit_free_cantor_support(rng):
+    mu, window = _cantor_support(rng)
+    return _orbit_free(mu), window
+
+
 SUPPORTS = pytest.mark.parametrize(
     "make_support", [_random_support, _cantor_support], ids=["random", "cantor3"]
+)
+
+# Random weights break the Cantor support's symmetry: the objective takes
+# them on the orbit-free copy only.
+RANDOM_WEIGHT_SUPPORTS = pytest.mark.parametrize(
+    "make_support", [_random_support, _orbit_free_cantor_support], ids=["random", "cantor3"]
 )
 
 
 class TestWolffObjective:
     # p = 2, 3/2, 5/4 give dual_exp = 1, 2, 4 at trace 1/2; p = 3/2 is matched.
-    @SUPPORTS
+    @RANDOM_WEIGHT_SUPPORTS
     @pytest.mark.parametrize("p", [2.0, 1.5, 1.25])
     def test_gradient_matches_central_differences(self, rng, make_support, p):
         mu, window = make_support(rng)
@@ -164,7 +180,7 @@ class TestWolffObjective:
             fd[m] = (objective.energy(w + step) - objective.energy(w - step)) / (2.0 * h)
         np.testing.assert_allclose(fd, grad, rtol=1e-6, atol=1e-9 * np.abs(grad).max())
 
-    @SUPPORTS
+    @RANDOM_WEIGHT_SUPPORTS
     @pytest.mark.parametrize("p", [2.0, 1.5, 1.25])
     def test_warm_gradient_is_bit_equal_to_cold(self, rng, make_support, p):
         mu, window = make_support(rng)
@@ -181,7 +197,7 @@ class TestWolffObjective:
         again = warm.energy_and_gradient(w)
         assert again[0] == cold_energy and np.array_equal(again[1], cold_grad)
 
-    @SUPPORTS
+    @RANDOM_WEIGHT_SUPPORTS
     def test_matches_cubic_form_oracle(self, rng, make_support):
         mu, window = make_support(rng)
         alpha = 0.5
@@ -191,6 +207,61 @@ class TestWolffObjective:
         ref_energy, ref_grad = wolff_cubic_form(mu.with_weights(w), alpha, window)
         assert energy == pytest.approx(ref_energy, rel=1e-12)
         np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=0.0)
+
+
+class TestOrbitObjective:
+    """The objective on a Cantor support reads one row per symmetry orbit."""
+
+    @pytest.mark.parametrize("family", [(1, 0.6, 3), (2, 0.75, 3), (3, 1.5, 2), (3, 1.5, 3)],
+                             ids=["n1-m3", "n2-m3", "n3-m2", "n3-m3"])
+    def test_matches_orbit_free_copy_and_cubic_form(self, rng, family):
+        n, dim, depth = family
+        mu = cantor_measure(cantor_spec_for_dimension(n, dim, depth))
+        window = TruncationWindow(mu.delta)
+        alpha = 0.5
+        exps = WolffExponents.matched(KernelParams(alpha, n))
+        reduced = _WolffObjective(mu, exps, window)
+        assert len(reduced.reps) < mu.size
+        ids = np.unique(measures._orbits(mu), return_inverse=True)[1]
+        w = rng.uniform(0.2, 1.8, ids.max() + 1)[ids] / mu.size
+        energy, grad = reduced.energy_and_gradient(w)
+        assert reduced.energy(w) == energy
+        plain = _orbit_free(mu)
+        ref_energy, ref_grad = _WolffObjective(plain, exps, window).energy_and_gradient(w)
+        assert energy == pytest.approx(ref_energy, rel=1e-12)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=0.0)
+        if mu.size <= 64:
+            cubic_energy, cubic_grad = wolff_cubic_form(plain.with_weights(w), alpha, window)
+            assert energy == pytest.approx(cubic_energy, rel=1e-12)
+            np.testing.assert_allclose(grad, cubic_grad, rtol=1e-12, atol=0.0)
+
+    def test_rejects_weights_off_the_orbits(self):
+        mu = cantor_measure(cantor_spec_for_dimension(2, 0.75, 2))
+        objective = _WolffObjective(mu, MATCHED, TruncationWindow(mu.delta))
+        w = np.full(mu.size, 1.0 / mu.size)
+        objective.energy_and_gradient(w)
+        w[1] = np.nextafter(w[1], 1.0)
+        with pytest.raises(DomainError):
+            objective.energy(w)
+        with pytest.raises(DomainError):
+            objective.energy_and_gradient(w)
+
+    def test_optimizer_matches_orbit_free_copy(self):
+        mu = cantor_measure(cantor_spec_for_dimension(3, 1.5, 2))
+        window = TruncationWindow(mu.delta)
+        exps = WolffExponents.matched(KernelParams(0.5, 3))
+        cfg = OptimizerConfig(max_iters=200, tolerance=1e-8)
+        reduced = minimize_wolff_energy(mu, exps, window, cfg)
+        plain = minimize_wolff_energy(_orbit_free(mu), exps, window, cfg)
+        assert reduced.diagnostics["orbits"] == 4.0
+        assert plain.diagnostics["orbits"] == float(mu.size)
+        assert reduced.diagnostics["iterations"] == plain.diagnostics["iterations"]
+        assert reduced.value == pytest.approx(plain.value, rel=1e-12)
+        np.testing.assert_allclose(reduced.witness.weights, plain.witness.weights,
+                                   rtol=1e-12, atol=0.0)
+        # Every iterate is bitwise constant on the orbits.
+        ids = measures._orbits(mu)
+        assert np.array_equal(reduced.witness.weights[ids], reduced.witness.weights)
 
 
 class TestPositiveCapacity:

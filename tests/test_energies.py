@@ -382,30 +382,26 @@ class TestRowBlocks:
     def test_small_blocks_match_default_and_naive(self, rng, monkeypatch, case):
         mu, eps = _close_pair_case(rng, case)
         window = TruncationWindow(eps)
-        # The certificate recomputes no center here, so every value below
-        # comes from the blocked sums.
-        square = energies._completed_square(mu, 0.5, eps)
-        tau = energies.CERTIFICATE_TAU
-        assert np.all(np.abs(square.gram + square.cross) > tau * square.magnitude)
-        energy = symmetrization_energy(mu, P2, window)
-        pp = symmetrization_potentials_sq_at_atoms(mu, P2, window)
         naive_pp = [naive_symmetrization_potential_sq(mu, x, 0.5, eps) for x in mu.atoms]
         # Each ordered triple is summed once around each of its atoms.
         naive_energy = float(np.dot(mu.weights, naive_pp))
+        # The certificate recomputes no center here, at any blocking, so
+        # every value below comes from the blocked sums.
+        calls = _counting(monkeypatch, "_direct_potential_sq")
+        energy = symmetrization_energy(mu, P2, window)
+        pp = symmetrization_potentials_sq_at_atoms(mu, P2, window)
         for rows in (1, 3):
             monkeypatch.setattr(energies, "_row_block", lambda *args: rows)
             # A fresh measure for each blocking: mu's cache holds the square
             # of the default blocking.
             fresh = DiscreteMeasure(mu.atoms, mu.weights, mu.delta)
-            blocked = energies._completed_square(fresh, 0.5, eps)
-            # The magnitudes only decide which centers are recomputed.
-            assert np.allclose(blocked.magnitude, square.magnitude, rtol=1e-12, atol=0.0)
             blocked_energy = symmetrization_energy(fresh, P2, window)
             blocked_pp = symmetrization_potentials_sq_at_atoms(fresh, P2, window)
             assert blocked_energy == pytest.approx(energy, rel=1e-12)
             assert np.allclose(blocked_pp, pp, rtol=1e-12, atol=0.0)
             assert blocked_energy == pytest.approx(naive_energy, rel=1e-12)
             assert np.allclose(blocked_pp, naive_pp, rtol=1e-11, atol=1e-14)
+        assert calls == {"_direct_potential_sq": 0}
 
 
 def _fresh(mu):
@@ -455,26 +451,42 @@ class TestSquareCache:
             "combined": lambda m: maximal_potential_energy(m, P2, window),
         }
         want = {name: f(_fresh(mu)) for name, f in functionals.items()}
-        calls = _counting(monkeypatch, "_transform_at_atoms", "_close_pairs")
+        calls = _counting(monkeypatch, "_transform_at_atoms", "_close_pairs",
+                          "_direct_potential_sq")
         names = sorted(functionals, reverse=reverse)
         got = {name: functionals[name](mu) for name in names}
-        assert calls == {"_transform_at_atoms": 1, "_close_pairs": 1}
+        # Dense close pairs recompute every center directly, once.
+        direct = mu.size if case == "dense-close-pairs" else 0
+        assert calls == {"_transform_at_atoms": 1, "_close_pairs": 1,
+                         "_direct_potential_sq": direct}
         assert got == want
-        cached = mu._cache[("square", 0.5, eps)]
-        assert (cached is None) == (case == "dense-close-pairs")
 
-    def test_certificate_recompute_leaves_the_cache_intact(self):
+    def test_dense_square_recomputes_each_center_once(self, rng, monkeypatch):
+        mu, eps = _dense_random_measure(rng)
+        window = TruncationWindow(eps)
+        want = symmetrization_potentials_sq_at_atoms(_fresh(mu), P2, window)
+        calls = _counting(monkeypatch, "_direct_potential_sq")
+        symmetrization_energy(mu, P2, window)
+        assert calls == {"_direct_potential_sq": mu.size}
+        got = symmetrization_potentials_sq_at_atoms(mu, P2, window)
+        maximal_potential_energy(mu, P2, window)
+        assert calls == {"_direct_potential_sq": mu.size}
+        assert np.array_equal(got, want)
+
+    def test_certificate_recompute_leaves_the_cache_intact(self, monkeypatch):
         mu, eps = _cancelling_measure()
         window = TruncationWindow(eps)
+        calls = _counting(monkeypatch, "_direct_potential_sq")
         first = symmetrization_potentials_sq_at_atoms(mu, P2, window)
+        # Every center fails the certificate and is recomputed directly,
+        # once: the cache keeps the recomputed parts.
+        assert calls == {"_direct_potential_sq": mu.size}
         square = energies._completed_square(mu, 0.5, eps)
-        # Every center fails the certificate and is recomputed directly.
-        tau = energies.CERTIFICATE_TAU
-        assert np.all(np.abs(square.gram + square.cross) <= tau * square.magnitude)
         assert not any(array.flags.writeable for array in square)
         energy = symmetrization_energy(mu, P2, window)
         first[:] = 1.0
         again = symmetrization_potentials_sq_at_atoms(mu, P2, window)
+        assert calls == {"_direct_potential_sq": mu.size}
         assert np.array_equal(again, symmetrization_potentials_sq_at_atoms(_fresh(mu), P2, window))
         assert energy == symmetrization_energy(_fresh(mu), P2, window)
         r = riesz_transform_at_atoms(mu, P2, eps)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -6,7 +7,8 @@ import pytest
 
 from conftest import make_random_measure
 from rieszcap import measures
-from rieszcap.capacity import OptimizerConfig, comparability_report
+from rieszcap import capacity
+from rieszcap.capacity import OptimizerConfig, chebyshev_restrict, comparability_report
 from rieszcap.energies import (
     TruncationWindow,
     WolffExponents,
@@ -179,6 +181,109 @@ class TestCantorGenerator:
             CantorSpec(n=2, ratio=0.6, depth=1)
         with pytest.raises(DomainError):
             cantor_spec_for_dimension(2, 2.5, 1)
+
+
+# (n, dimension): every corner-Cantor family the orbit tests cover.
+ORBIT_FAMILIES = [(1, 0.6), (2, 0.75), (3, 1.5)]
+
+
+def _cube_symmetries(n):
+    """(permutation, signs) of every symmetry of the n-cube about its center."""
+    for perm in itertools.permutations(range(n)):
+        for signs in itertools.product((1.0, -1.0), repeat=n):
+            yield list(perm), np.array(signs)
+
+
+def _matched_images(mu, center, perm, signs):
+    """Index of the atom nearest to each atom's image, and the distance."""
+    image = center + signs * (mu.atoms - center)[:, perm]
+    dist = np.linalg.norm(image[:, None, :] - mu.atoms[None, :, :], axis=2)
+    match = np.argmin(dist, axis=1)
+    return match, dist[np.arange(mu.size), match]
+
+
+class TestCantorOrbits:
+    """Orbit ids come from the construction: each orbit is exactly the set
+    of atoms that the cube's symmetries map an atom to."""
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("family", ORBIT_FAMILIES, ids=["n1", "n2", "n3"])
+    def test_orbits_are_the_cube_symmetries(self, family, depth):
+        n, dim = family
+        spec = cantor_spec_for_dimension(n, dim, depth, base=1.7, offset=np.linspace(-0.4, 0.9, n))
+        mu = cantor_measure(spec)
+        ids = measures._orbits(mu)
+        assert np.array_equal(ids[ids], ids) and np.all(ids <= np.arange(mu.size))
+        center = 0.5 * spec.base + np.asarray(spec.offset)
+        reached = [set() for _ in range(mu.size)]
+        for perm, signs in _cube_symmetries(n):
+            match, miss = _matched_images(mu, center, perm, signs)
+            assert miss.max() <= 1e-12 * spec.base
+            assert np.array_equal(ids[match], ids)
+            for i, j in enumerate(match):
+                reached[i].add(int(j))
+        for i in range(mu.size):
+            assert reached[i] == set(np.flatnonzero(ids == ids[i]).tolist())
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("family", ORBIT_FAMILIES, ids=["n1", "n2", "n3"])
+    def test_orbit_members_share_sorted_distance_rows(self, family, depth):
+        mu = cantor_measure(cantor_spec_for_dimension(*family, depth))
+        ids = measures._orbits(mu)
+        rows = np.sort(mu.distance_matrix(), axis=1)
+        np.testing.assert_allclose(rows, rows[ids], rtol=1e-14, atol=0.0)
+
+    def test_orbit_counts(self):
+        # The hyperoctahedral group has order 2, 8 and 48 for n = 1, 2, 3.
+        counts = {
+            (n, depth): len(np.unique(measures._orbits(
+                cantor_measure(cantor_spec_for_dimension(n, dim, depth)))))
+            for n, dim in ORBIT_FAMILIES for depth in (0, 1, 2, 3)
+        }
+        assert counts == {
+            (1, 0): 1, (1, 1): 1, (1, 2): 2, (1, 3): 4,
+            (2, 0): 1, (2, 1): 1, (2, 2): 3, (2, 3): 10,
+            (3, 0): 1, (3, 1): 1, (3, 2): 4, (3, 3): 20,
+        }
+
+    def test_translation_and_dilation_keep_orbits(self, rng):
+        mu = cantor_measure(cantor_spec_for_dimension(2, 0.75, 3))
+        ids = measures._orbits(mu)
+        assert len(np.unique(ids)) < mu.size
+        moved = mu.translated([0.3, -1.2]).dilated(2.5)
+        assert measures._orbits(moved) is ids
+        assert measures._orbits(moved.with_weights(rng.uniform(0.1, 1.0, mu.size))) is ids
+        # The moved atoms keep the symmetries about the moved center.
+        center = 2.5 * (np.array([0.5, 0.5]) + [0.3, -1.2])
+        for perm, signs in _cube_symmetries(2):
+            match, miss = _matched_images(moved, center, perm, signs)
+            assert miss.max() <= 1e-12
+            assert np.array_equal(ids[match], ids)
+
+    def test_other_measures_have_singleton_orbits(self, monkeypatch):
+        mu = cantor_measure(cantor_spec_for_dimension(2, 0.75, 2))
+        singleton = np.arange(mu.size)
+        built = [
+            DiscreteMeasure(mu.atoms, mu.weights, mu.delta),
+            measure_from_json(measure_to_json(mu)),
+            chebyshev_restrict(mu, np.ones(mu.size), 1.0),
+        ]
+        for nu in built:
+            assert np.array_equal(measures._orbits(nu), singleton)
+        union = merge_measures(mu, mu.translated([3.0, 0.0]))
+        assert np.array_equal(measures._orbits(union), np.arange(union.size))
+        supports = []
+        optimize = capacity.minimize_wolff_energy
+
+        def recorded(support, *args, **kwargs):
+            supports.append(support)
+            return optimize(support, *args, **kwargs)
+
+        monkeypatch.setattr(capacity, "minimize_wolff_energy", recorded)
+        capacity.bilipschitz_experiment(mu, "rotation", 0.5, TruncationWindow(mu.delta),
+                                        OptimizerConfig(max_iters=5))
+        # Both sides of the experiment run on singleton orbits.
+        assert [np.array_equal(measures._orbits(nu), singleton) for nu in supports] == [True] * 2
 
 
 class TestBallProfile:
