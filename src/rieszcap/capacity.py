@@ -42,7 +42,14 @@ from .errors import (
     UnsupportedExponentError,
 )
 from .kernels import KernelParams
-from .measures import DiscreteMeasure, _orbits, _row_order, _sorted_rows, measure_to_json
+from .measures import (
+    DiscreteMeasure,
+    _maximal_rows,
+    _orbits,
+    _row_order,
+    _sorted_rows,
+    measure_to_json,
+)
 
 METHOD_ENERGY = "max-potential-energy"
 METHOD_WOLFF = "wolff-energy"
@@ -317,8 +324,9 @@ def _energy_proxy(support, params, window, wolff_est, cfg, refine=False) -> Capa
     )
 
 
-def _refine_combined(support, params, window, w0, cfg, iters: int = 25):
-    """Short monotone subgradient descent on the combined energy."""
+def _refine_combined(support, params, window, w0, cfg):
+    """Short monotone subgradient descent on the combined energy: at most
+    25 steps, fewer when ``cfg`` caps lower."""
 
     class _Objective:
         # The measure of the latest weights, so that its completed square
@@ -336,7 +344,7 @@ def _refine_combined(support, params, window, w0, cfg, iters: int = 25):
         def energy_and_gradient(self, w):
             return _combined_subgradient(self._measure(w), params, window)
 
-    small_cfg = OptimizerConfig(max_iters=min(cfg.max_iters, iters),
+    small_cfg = OptimizerConfig(max_iters=min(cfg.max_iters, 25),
                                 tolerance=cfg.tolerance)
     return _descend(_Objective(), w0, small_cfg)
 
@@ -349,15 +357,11 @@ def _combined_subgradient(mu, params, window) -> tuple:
     2 B(u, w)_m with u = w / (2 sqrt(pp)) (``_pp_polarized``), in
     O(N^2 + N P) for P close pairs.
     """
-    alpha, eps, outer = params.alpha, window.eps, window.outer
+    alpha = params.alpha
     w = mu.weights
     m_vals = np.empty(mu.size)
     r_star = np.empty(mu.size)
-    for rows, order, sorted_d in _sorted_rows(mu):
-        cum = np.cumsum(w[order], axis=1)
-        r = np.maximum(sorted_d, eps)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.where((cum > 0.0) & (r <= outer), cum / r**alpha, 0.0)
+    for rows, vals, r in _maximal_rows(mu, alpha, window.eps, window.outer):
         best = np.argmax(vals, axis=1)[:, None]
         m_vals[rows] = np.take_along_axis(vals, best, axis=1)[:, 0]
         r_star[rows] = np.take_along_axis(r, best, axis=1)[:, 0]

@@ -666,28 +666,27 @@ class EnergyReport:
         )
 
 
-def default_eps_sweep(mu: DiscreteMeasure, eps: float, count: int = 24) -> np.ndarray:
-    """Geometric eps grid from the window cutoff up to the diameter."""
+def default_eps_sweep(mu: DiscreteMeasure, eps: float) -> np.ndarray:
+    """Geometric eps grid of 24 cutoffs from ``eps`` up to the diameter."""
     top = max(mu.diameter, 2.0 * eps)
-    return np.geomspace(eps, top, count)
+    return np.geomspace(eps, top, 24)
 
 
 def energy_report(
     mu: DiscreteMeasure,
     params: KernelParams,
     window: TruncationWindow | None = None,
-    eps_sweep=None,
 ) -> EnergyReport:
     """Evaluate every report functional of one measure at one window.
 
-    ``sup_riesz_l2`` maximizes the transform energy over the supplied eps
-    sweep (a geometric grid up to the diameter by default); it is a finite
-    surrogate for the supremum over all eps.
+    ``sup_riesz_l2`` maximizes the transform energy over
+    ``default_eps_sweep``, a geometric grid from the window's eps up to the
+    diameter; it is a finite surrogate for the supremum over all eps.
     """
     if window is None:
         window = TruncationWindow(mu.delta)
     _require_alpha_in(params, 1.0)
-    sweep = default_eps_sweep(mu, window.eps) if eps_sweep is None else np.asarray(eps_sweep)
+    sweep = default_eps_sweep(mu, window.eps)
     # The squared potentials complete the square at the window's eps; the
     # triple sum and the transform energy there read it from the cache.
     pp = symmetrization_potentials_sq_at_atoms(mu, params, window)

@@ -83,17 +83,15 @@ def sweep_point(
     dimension: float,
     depth: int,
     n: int = 2,
-    base: float = 1.0,
     cfg: OptimizerConfig | None = None,
-    with_proxies: bool = True,
-    max_atoms: int = 65536,
 ) -> SweepPoint:
-    """Evaluate all sweep quantities on one corner-Cantor measure.
+    """Evaluate all sweep quantities on one unit corner-Cantor measure.
 
     The truncation radius is the depth-m cell side, which equals the
-    measure resolution.
+    measure resolution.  ``cfg`` defaults to 200 iterations at tolerance
+    1e-8.
     """
-    spec = cantor_spec_for_dimension(n, dimension, depth, base=base, max_atoms=max_atoms)
+    spec = cantor_spec_for_dimension(n, dimension, depth)
     mu = cantor_measure(spec)
     params = KernelParams(alpha, n)
     window = TruncationWindow(spec.cell_side)
@@ -101,16 +99,8 @@ def sweep_point(
     sym = symmetrization_energy(mu, params, window)
     wolff = wolff_energy(mu, exps, window)
     double = ball_mass_double_sum(mu, params, window)
-    if with_proxies:
-        cfg = cfg or OptimizerConfig(max_iters=200, tolerance=1e-8)
-        report = comparability_report(mu, alpha, window, cfg)
-        energy_proxy = report.energy_proxy.value
-        wolff_proxy = report.wolff_proxy.value
-        iters = report.wolff_proxy.diagnostics["iterations"]
-        converged = report.wolff_proxy.diagnostics["converged"]
-    else:
-        energy_proxy = wolff_proxy = math.nan
-        iters = converged = math.nan
+    report = comparability_report(mu, alpha, window,
+                                  cfg or OptimizerConfig(max_iters=200, tolerance=1e-8))
     return SweepPoint(
         set_id=f"cantor-n{n}-d{dimension:g}-m{depth}",
         n=n,
@@ -122,10 +112,10 @@ def sweep_point(
         sym_energy=sym,
         wolff_energy=wolff,
         double_sum=double,
-        energy_proxy=energy_proxy,
-        wolff_proxy=wolff_proxy,
-        optimizer_iters=iters,
-        converged=converged,
+        energy_proxy=report.energy_proxy.value,
+        wolff_proxy=report.wolff_proxy.value,
+        optimizer_iters=report.wolff_proxy.diagnostics["iterations"],
+        converged=report.wolff_proxy.diagnostics["converged"],
     )
 
 
@@ -135,20 +125,14 @@ def comparability_sweep(
     depths=(2, 3, 4, 5),
     n: int = 2,
     cfg: OptimizerConfig | None = None,
-    with_proxies: bool = True,
 ) -> list:
     """The standard sweep: alpha x (dimension factor) x depth."""
-    points = []
-    for alpha in alphas:
-        for factor in dim_factors:
-            for depth in depths:
-                points.append(
-                    sweep_point(
-                        alpha, factor * alpha, depth, n=n, cfg=cfg,
-                        with_proxies=with_proxies,
-                    )
-                )
-    return points
+    return [
+        sweep_point(alpha, factor * alpha, depth, n=n, cfg=cfg)
+        for alpha in alphas
+        for factor in dim_factors
+        for depth in depths
+    ]
 
 
 def ratio_window(values) -> float:
@@ -221,7 +205,6 @@ def depth_trend(
     dim_factor: float = 1.0,
     depths=(1, 2, 3, 4, 5),
     n: int = 2,
-    cfg: OptimizerConfig | None = None,
 ) -> DepthTrend:
     """Truncated Wolff energy and capacity proxy across construction depths.
 
@@ -230,27 +213,26 @@ def depth_trend(
     critical dimension the energy converges and the proxy stabilizes.
     """
     return DepthTrend.from_points(
-        [sweep_point(alpha, dim_factor * alpha, m, n=n, cfg=cfg) for m in depths]
+        [sweep_point(alpha, dim_factor * alpha, m, n=n) for m in depths]
     )
 
 
 def semiadditivity_probe(
     alpha: float,
     depth: int = 3,
-    separation: float = 3.0,
     n: int = 2,
-    cfg: OptimizerConfig | None = None,
 ) -> dict:
-    """Capacity proxies of two translated Cantor blocks and of their union."""
+    """Capacity proxies of two unit Cantor blocks, 3 apart along the first
+    axis, and of their union."""
     from .capacity import estimate_positive_capacity
 
     spec = cantor_spec_for_dimension(n, alpha, depth)
     block1 = cantor_measure(spec)
-    block2 = block1.translated([separation] + [0.0] * (n - 1))
+    block2 = block1.translated([3.0] + [0.0] * (n - 1))
     union = merge_measures(block1, block2).normalized()
     params = KernelParams(alpha, n)
     window = TruncationWindow(spec.cell_side)
-    cfg = cfg or OptimizerConfig(max_iters=200, tolerance=1e-8)
+    cfg = OptimizerConfig(max_iters=200, tolerance=1e-8)
     v1 = estimate_positive_capacity(block1, params, window, cfg).value
     v2 = estimate_positive_capacity(block2, params, window, cfg).value
     vu = estimate_positive_capacity(union, params, window, cfg).value

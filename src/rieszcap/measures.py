@@ -194,11 +194,12 @@ class DiscreteMeasure:
         return self.with_weights(self.weights / self.total_mass)
 
 
-def _pair_distance_blocks(atoms: np.ndarray, block: int = 1024):
-    """Yield upper-triangle distance blocks without materializing N x N."""
+def _pair_distance_blocks(atoms: np.ndarray):
+    """Yield upper-triangle distance blocks of 1024 rows without
+    materializing N x N."""
     n = atoms.shape[0]
-    for i0 in range(0, n, block):
-        rows = atoms[i0 : i0 + block]
+    for i0 in range(0, n, 1024):
+        rows = atoms[i0 : i0 + 1024]
         diffs = rows[:, None, :] - atoms[None, i0:, :]
         d = np.linalg.norm(diffs, axis=2)
         r, c = np.triu_indices(d.shape[0], k=1, m=d.shape[1])
@@ -449,14 +450,26 @@ def maximal_at_atoms(
     if alpha <= 0.0:
         raise DomainError(f"alpha must be positive, got {alpha}")
     out = np.empty(mu.size)
+    for rows, vals, _ in _maximal_rows(mu, alpha, r_min, r_max):
+        out[rows] = np.max(vals, axis=1)
+    return out
+
+
+def _maximal_rows(mu: DiscreteMeasure, alpha: float, r_min: float, r_max: float):
+    """Yield (rows, ratios, radii) over blocks of atom rows.
+
+    Along a row in the cached row order, ``radii`` are max(d, r_min) and
+    ``ratios`` the closed-ball masses over radii^alpha, zero for an empty
+    ball or a radius above r_max.  The row maximum is the maximal function
+    at that atom, attained at the radius of its argmax.
+    """
     for rows, order, sorted_d in _sorted_rows(mu):
         cum = np.cumsum(mu.weights[order], axis=1)
         r = np.maximum(sorted_d, r_min)
         # Only radii in [r_min, r_max] are admissible: none when r_max < r_min.
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = np.where((cum > 0.0) & (r <= r_max), cum / r**alpha, 0.0)
-        out[rows] = np.max(vals, axis=1)
-    return out
+        yield rows, vals, r
 
 
 # ---------------------------------------------------------------------------
@@ -488,13 +501,14 @@ def measure_from_json(text: str) -> DiscreteMeasure:
     try:
         atoms = np.asarray(doc["atoms"], dtype=float)
         weights = np.asarray(doc["weights"], dtype=float)
+        delta = float(doc["delta"])
     except (TypeError, ValueError) as exc:
-        raise MeasureFormatError(f"non-numeric atoms or weights: {exc}") from exc
+        raise MeasureFormatError(f"non-numeric atoms, weights or delta: {exc}") from exc
     if atoms.ndim != 2 or atoms.shape[1] != doc["n"]:
         raise MeasureFormatError(
             f"atoms must be a list of length-{doc['n']} rows, got shape {atoms.shape}"
         )
-    return DiscreteMeasure(atoms, weights, delta=float(doc["delta"]))
+    return DiscreteMeasure(atoms, weights, delta=delta)
 
 
 def measure_from_csv(text: str) -> DiscreteMeasure:

@@ -130,13 +130,13 @@ def _rel_close(a: float, b: float, rtol: float, tiny: float = 1e-30) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def suite_sandwich(
-    seed: int = 0, triples_per_cell: int = 10000, fault: str | None = None
-) -> SuiteResult:
+def suite_sandwich(seed: int = 0, fault: str | None = None) -> SuiteResult:
     """Two-sided largest-side bound, positivity, and exact collinear values.
 
-    Zero violations allowed at 1e-12 relative slack on the bounds.  For
-    alpha > 1 the suite instead confirms that sign changes occur.
+    10000 random triples per (n, alpha) cell, n in 1-3 and alpha in
+    {0.25, 0.5, 0.75}; zero violations allowed at 1e-12 relative slack on
+    the bounds.  For alpha > 1 the suite instead confirms that sign changes
+    occur.
     """
     res = _new_result("symmetrization-sandwich")
     rng = _rng(seed, 1)
@@ -146,7 +146,7 @@ def suite_sandwich(
     worst_hi = 0.0
     for n in (1, 2, 3):
         for alpha in (0.25, 0.5, 0.75):
-            tris = random_triples(rng, triples_per_cell, n)
+            tris = random_triples(rng, 10000, n)
             p = symmetrization_many(tris, alpha) * scale
             lengths = np.max(
                 [
@@ -193,17 +193,17 @@ def suite_sandwich(
     return res
 
 
-def suite_curvature(seed: int = 0, count: int = 10000) -> SuiteResult:
+def suite_curvature(seed: int = 0) -> SuiteResult:
     """Squared curvature vs doubled symmetrization and the permutation sum.
 
-    Random triples carry a mild thinness floor (area >= 1e-2 L^2): both
-    sides of the identities vanish at collinearity and their relative
-    agreement in doubles degrades like (area/L^2)^-2.  The collinear limit
-    itself is checked separately, in absolute terms.
+    10000 random planar triples carry a mild thinness floor (area >= 1e-2
+    L^2): both sides of the identities vanish at collinearity and their
+    relative agreement in doubles degrades like (area/L^2)^-2.  The
+    collinear limit itself is checked separately, in absolute terms.
     """
     res = _new_result("curvature-consistency")
     rng = _rng(seed, 2)
-    tris = random_triples(rng, count, 2, min_area_frac=1e-2)
+    tris = random_triples(rng, 10000, 2, min_area_frac=1e-2)
     p1 = symmetrization_many(tris, 1.0)
     worst_sym = 0.0
     worst_perm = 0.0
@@ -294,17 +294,16 @@ def suite_measures(seed: int = 0) -> SuiteResult:
     return res
 
 
-def suite_decomposition(
-    seed: int = 0, measures: int = 200, max_atoms: int = 15
-) -> SuiteResult:
-    """3 * transform energy = triple sum + enumerated residual, to 1e-10."""
+def suite_decomposition(seed: int = 0) -> SuiteResult:
+    """3 * transform energy = triple sum + enumerated residual, to 1e-10, on
+    200 random measures of at most 15 atoms at three cutoffs each."""
     res = _new_result("decomposition-identity")
     rng = _rng(seed, 4)
     worst = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for _ in range(measures):
-            mu = random_measure(rng, _atom_count(rng, max_atoms))
+        for _ in range(200):
+            mu = random_measure(rng, _atom_count(rng, 15))
             alpha = float(rng.uniform(0.1, 0.9))
             params = KernelParams(alpha, 2)
             for eps in (0.021, float(rng.uniform(0.05, 0.5)), float(rng.uniform(0.5, 1.5))):
@@ -320,8 +319,9 @@ def suite_decomposition(
     return res
 
 
-def suite_wolff_quadrature(seed: int = 0, cases: int = 200) -> SuiteResult:
-    """Closed-form Wolff potential vs the adaptive-quadrature oracle, 1e-8."""
+def suite_wolff_quadrature(seed: int = 0) -> SuiteResult:
+    """Closed-form Wolff potential vs the adaptive-quadrature oracle, 1e-8,
+    at 66 random points for each of three exponent sets."""
     res = _new_result("wolff-quadrature")
     rng = _rng(seed, 5)
     qcfg = QuadratureConfig(rel_tol=1e-10)
@@ -331,9 +331,8 @@ def suite_wolff_quadrature(seed: int = 0, cases: int = 200) -> SuiteResult:
         WolffExponents(s=0.8, p=2.0, n=2),
         WolffExponents(s=0.5, p=1.8, n=2),
     ]
-    per_set = max(1, cases // len(exponent_sets))
     for exps in exponent_sets:
-        for _ in range(per_set):
+        for _ in range(66):
             mu = random_measure(rng, _atom_count(rng, 12))
             x = rng.uniform(-1.4, 1.4, size=2)
             r_out = float(rng.uniform(3.0, 8.0)) if rng.random() < 0.5 else None
@@ -350,17 +349,16 @@ def suite_wolff_quadrature(seed: int = 0, cases: int = 200) -> SuiteResult:
     return res
 
 
-def suite_oracle_equivalence(
-    seed: int = 0, measures: int = 200, max_atoms: int = 20
-) -> SuiteResult:
-    """Vectorized energies vs the naive reference loops, 1e-12 relative."""
+def suite_oracle_equivalence(seed: int = 0) -> SuiteResult:
+    """Vectorized energies vs the naive reference loops, 1e-12 relative, on
+    200 random measures of at most 20 atoms."""
     res = _new_result("oracle-equivalence")
     rng = _rng(seed, 6)
     worst = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for _ in range(measures):
-            mu = random_measure(rng, _atom_count(rng, max_atoms))
+        for _ in range(200):
+            mu = random_measure(rng, _atom_count(rng, 20))
             alpha = float(rng.uniform(0.1, 0.9))
             params = KernelParams(alpha, 2)
             eps = float(rng.uniform(0.03, 0.6))
@@ -457,11 +455,12 @@ def suite_monotonicity(seed: int = 0) -> SuiteResult:
     return res
 
 
-def suite_chebyshev(seed: int = 0, cases: int = 100) -> SuiteResult:
-    """Retained-mass guarantee of the potential-level restriction."""
+def suite_chebyshev(seed: int = 0) -> SuiteResult:
+    """Retained-mass guarantee of the potential-level restriction on 100
+    random probability measures."""
     res = _new_result("chebyshev-restriction")
     rng = _rng(seed, 9)
-    for _ in range(cases):
+    for _ in range(100):
         mu = random_measure(rng, _atom_count(rng, 25)).normalized()
         vals = rng.uniform(0.0, 5.0, size=mu.size)
         energy = float(np.dot(mu.weights, vals))

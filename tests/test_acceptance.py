@@ -77,7 +77,7 @@ def trends(sweep_points):
 
 
 def test_c01_sandwich_bounds():
-    res, dt = _run_timed(suite_sandwich, seed=0, triples_per_cell=10000)
+    res, dt = _run_timed(suite_sandwich, seed=0)
     _criterion(
         1,
         res.passed,
@@ -90,7 +90,7 @@ def test_c01_sandwich_bounds():
 
 
 def test_c02_curvature_consistency():
-    res, dt = _run_timed(suite_curvature, seed=0, count=10000)
+    res, dt = _run_timed(suite_curvature, seed=0)
     _criterion(
         2,
         res.passed,
@@ -102,7 +102,7 @@ def test_c02_curvature_consistency():
 
 
 def test_c03_decomposition_identity():
-    res, dt = _run_timed(suite_decomposition, seed=0, measures=200, max_atoms=15)
+    res, dt = _run_timed(suite_decomposition, seed=0)
     _criterion(
         3,
         res.passed,
@@ -113,7 +113,7 @@ def test_c03_decomposition_identity():
 
 
 def test_c04_wolff_closed_form_vs_quadrature():
-    res, dt = _run_timed(suite_wolff_quadrature, seed=0, cases=200)
+    res, dt = _run_timed(suite_wolff_quadrature, seed=0)
     _criterion(
         4,
         res.passed,
@@ -124,7 +124,7 @@ def test_c04_wolff_closed_form_vs_quadrature():
 
 
 def test_c05_oracle_equivalence():
-    res, dt = _run_timed(suite_oracle_equivalence, seed=0, measures=200, max_atoms=20)
+    res, dt = _run_timed(suite_oracle_equivalence, seed=0)
     _criterion(
         5,
         res.passed,
@@ -249,7 +249,7 @@ def test_c09_proxy_comparability(sweep_points):
 
 
 def test_c10_chebyshev_restriction():
-    res, dt = _run_timed(suite_chebyshev, seed=0, cases=100)
+    res, dt = _run_timed(suite_chebyshev, seed=0)
     _criterion(
         10,
         res.passed,

@@ -18,6 +18,15 @@ def three_atom_file(tmp_path):
     return path
 
 
+@pytest.fixture
+def quarter_file(tmp_path):
+    """Three atoms whose delta (0.25) differs from every default alpha."""
+    mu = DiscreteMeasure([[0.0, 0.0], [1.0, 0.0], [2.0, 0.5]], np.ones(3), delta=0.25)
+    path = tmp_path / "quarter.json"
+    save_measure(mu, path)
+    return path
+
+
 class TestGen:
     def test_writes_measure_and_reports(self, tmp_path, capsys):
         out = tmp_path / "m.json"
@@ -45,6 +54,12 @@ class TestGen:
         assert main(["gen", "--dimension", "0.5", "--depth", "1",
                      "--out", str(out)]) == 0
         assert "similarity_dimension: 0.5" in capsys.readouterr().err
+
+    def test_defaults_n2_depth3(self, tmp_path):
+        out = tmp_path / "m.json"
+        assert main(["gen", "--ratio", "0.25", "--out", str(out)]) == 0
+        mu = load_measure(out)
+        assert (mu.n, mu.size, mu.delta) == (2, 64, 0.25**3)
 
     def test_requires_ratio_or_dimension(self, tmp_path):
         assert main(["gen", "--depth", "2", "--out", str(tmp_path / "x.json")]) == 3
@@ -89,10 +104,20 @@ class TestEnergy:
         doc = json.loads(out.read_text())
         assert doc[0]["N_atoms"] == 3
 
-    def test_unknown_config_key_exit_3(self, three_atom_file, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"measure": str(three_atom_file), "bogus": 1}))
-        assert main(["energy", "--config", str(cfg)]) == 3
+    @pytest.mark.parametrize("delta", ["null", "[0.5]", '"wide"'])
+    def test_malformed_delta_exit_3(self, tmp_path, delta):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"n": 2, "delta": %s, "atoms": [[0, 0], [1, 0]], '
+                       '"weights": [1, 1]}' % delta)
+        assert main(["energy", "--measure", str(bad)]) == 3
+
+    def test_defaults_one_row_at_alpha_half_and_delta(self, quarter_file, tmp_path):
+        out = tmp_path / "rows.csv"
+        assert main(["energy", "--measure", str(quarter_file), "--out", str(out)]) == 0
+        header, *rows = out.read_text().strip().split("\n")
+        assert len(rows) == 1
+        cells = dict(zip(header.split(","), rows[0].split(",")))
+        assert (float(cells["alpha"]), float(cells["eps"])) == (0.5, 0.25)
 
 
 class TestCapacityCommand:
@@ -106,6 +131,15 @@ class TestCapacityCommand:
             "set_id", "n", "alpha", "dim", "depth", "eps", "method"
         ]
         assert len(lines) == 1 + 2 * 2  # two methods per sweep point
+
+    def test_default_grid(self, tmp_path):
+        out = tmp_path / "cap.csv"
+        assert main(["capacity", "--depths", "1", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+        assert len(rows) == 3 * 3 * 2
+        assert {(r[1], float(r[2]), float(r[3])) for r in rows} == {
+            ("2", a, f * a) for a in (0.25, 0.5, 0.75) for f in (1.0, 1.2, 1.5)
+        }
 
     def test_depth_sweep_value_decreasing(self, tmp_path):
         out = tmp_path / "cap.csv"
@@ -161,6 +195,25 @@ class TestCompareAndBilip:
         doc = json.loads(out.read_text())
         assert doc["ratio"] == 1.0
         assert doc["within_bound"] is True
+
+    def test_compare_defaults(self, tmp_path, quarter_file):
+        out = tmp_path / "cmp.json"
+        assert main(["compare", "--measure", str(quarter_file), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert (doc["alpha"], doc["eps"]) == (0.5, 0.25)
+
+    def test_bilip_defaults(self, tmp_path, quarter_file):
+        default, explicit = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["bilip", "--measure", str(quarter_file), "--out", str(default)]) == 0
+        assert main(["bilip", "--measure", str(quarter_file), "--map", "shear_sine",
+                     "--alpha", "0.5", "--eps", "0.25", "--out", str(explicit)]) == 0
+        assert json.loads(default.read_text())["map"] == "shear_sine"
+        assert default.read_bytes() == explicit.read_bytes()
+
+    @pytest.mark.parametrize("command", ["energy", "compare", "bilip"])
+    def test_missing_measure_or_bad_alpha_exit_3(self, three_atom_file, command):
+        assert main([command]) == 3
+        assert main([command, "--measure", str(three_atom_file), "--alpha", "x"]) == 3
 
     def test_bilip_unknown_map(self, tmp_path, three_atom_file):
         assert main(["bilip", "--measure", str(three_atom_file),

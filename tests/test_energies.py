@@ -666,11 +666,3 @@ class TestEnergyReport:
         assert report.maximal_potential == maximal_potential_energy(_fresh(mu), P2, window)
         m_vals = maximal_at_atoms(_fresh(mu), 0.5, r_min=window.eps, r_max=window.outer)
         assert report.max_maximal == float(m_vals.max())
-
-    def test_supplied_sweep_keeps_its_meaning(self):
-        mu = cantor_measure(cantor_spec_for_dimension(2, 0.75, 2))
-        window = TruncationWindow(mu.delta)
-        sweep = [2.0 * mu.delta, 4.0 * mu.delta]
-        report = energy_report(mu, P2, window, eps_sweep=sweep)
-        assert report.riesz_l2 == riesz_l2_energy(mu, P2, window.eps)
-        assert report.sup_riesz_l2 == max(riesz_l2_energy(mu, P2, e) for e in sweep)
