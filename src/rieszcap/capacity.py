@@ -45,7 +45,7 @@ from .kernels import KernelParams
 from .measures import (
     DiscreteMeasure,
     _maximal_rows,
-    _orbits,
+    _orbit_rows,
     _row_order,
     _sorted_rows,
     measure_to_json,
@@ -113,8 +113,9 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
 class _WolffObjective:
     """E(w) = sum_i w_i integral (m_i(r; w)/r^trace)^e dr/r on a fixed support.
 
-    The objective works on the support's symmetry orbits (``_orbits``):
-    the weights must be constant on each orbit, and then so are the
+    The objective works on the support's symmetry orbits (``_orbit_rows``;
+    singleton orbits when the support's own weights are not constant on
+    them): the weights must be constant on each orbit, and then so are the
     per-atom potentials, so only one representative row per orbit is
     read.  The rows of the support's cached row order at the R
     representatives give, per row, the piece drops and the flat index that
@@ -144,14 +145,12 @@ class _WolffObjective:
         self.exps = exps
         self.beta = beta
         size = support.size
-        self.reps, self.index, counts = np.unique(
-            _orbits(support), return_inverse=True, return_counts=True)
+        self.reps, self.index, counts = _orbit_rows(support)[:3]
         self.counts = counts.astype(float)
         reps = len(self.reps)
         # Singleton orbits read the cached order itself, not an N x N copy.
-        rows = None if reps == size else self.reps
         order = _row_order(support)
-        self.order = order if rows is None else order[rows]
+        self.order = order if reps == size else order[self.reps]
         # flat[r, m] is the position of atom m's piece in row r of the
         # row-reversed suffix sums, flattened: r * N + (N - 1 - rank).
         self.flat = np.empty_like(self.order)
@@ -160,7 +159,7 @@ class _WolffObjective:
             axis=1,
         )
         self.drop = np.empty((reps, size))
-        for block, _, sorted_d in _sorted_rows(support, rows):
+        for block, _, sorted_d in _sorted_rows(support, self.reps):
             self.drop[block] = _wolff_drops(sorted_d, beta, window) / beta
         self._last = None  # (w, cum, pot) of the latest energy() call
 

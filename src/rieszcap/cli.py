@@ -106,7 +106,7 @@ def cmd_gen(args) -> int:
         spec = CantorSpec(n=args.n, ratio=args.ratio, depth=args.depth, base=args.base,
                           offset=offset, max_atoms=args.max_atoms)
     mu = cantor_measure(spec)
-    _write_text(args.out, measure_to_json(mu))
+    _write_text(args.out, measure_to_json(mu, cantor=spec))
     print(f"atoms: {mu.size}", file=sys.stderr)
     print(f"delta: {_fmt(mu.delta)}", file=sys.stderr)
     print(f"similarity_dimension: {_fmt(spec.similarity_dimension)}", file=sys.stderr)

@@ -18,6 +18,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,9 +33,19 @@ _GAP_RTOL = 1e-12
 
 # Cache entries that depend on the atoms only, shared by every weight vector.
 # "orbits" holds each atom's symmetry-orbit id, the smallest atom index in
-# its orbit; only ``cantor_measure`` sets it, and a measure without it has
-# singleton orbits.
-_GEOMETRY = ("min_gap", "dist", "order", "diameter", "orbits")
+# its orbit, and "group" the signed coordinate permutation that maps the
+# orbit's representative onto the atom (``_cantor_orbits``); only
+# ``cantor_measure`` and a measure file that it reproduces set them, and a
+# measure without them has singleton orbits.  Functionals of weights that
+# are constant on the orbits read one row per orbit (``_orbit_rows``); the
+# distance matrix and the row order stay whole, and the representatives
+# slice them.
+_GEOMETRY = ("min_gap", "dist", "order", "diameter", "orbits", "group")
+
+# Relative band around a block's extreme squared distance (einsum) that
+# holds its extreme distance as norm computes it: the two summation orders
+# differ by a few ulps.
+_EXTREME_RTOL = 1e-12
 
 # Byte budget of one sorted row block (float64): small blocks keep the
 # consumers' temporaries cache-sized and far below the cached N x N order.
@@ -89,7 +100,7 @@ class DiscreteMeasure:
         object.__setattr__(self, "weights", weights)
         gap = self._cache.get("min_gap")
         if gap is None:
-            gap = _min_pairwise_distance(atoms)
+            gap = _extreme_pair_distance(atoms)
         if gap <= COINCIDENCE_EPS:
             raise MeasureFormatError("atoms must be pairwise distinct")
         delta = self.delta
@@ -127,10 +138,7 @@ class DiscreteMeasure:
     @property
     def diameter(self) -> float:
         if "diameter" not in self._cache:
-            d = 0.0
-            for block in _pair_distance_blocks(self.atoms):
-                d = max(d, float(block.max(initial=0.0)))
-            self._cache["diameter"] = d
+            self._cache["diameter"] = _extreme_pair_distance(self.atoms, largest=True)
         return self._cache["diameter"]
 
     def distance_matrix(self) -> np.ndarray:
@@ -173,7 +181,7 @@ class DiscreteMeasure:
                                self._orbit_cache())
 
     def _orbit_cache(self) -> dict:
-        return {"orbits": self._cache["orbits"]} if "orbits" in self._cache else {}
+        return {k: self._cache[k] for k in ("orbits", "group") if k in self._cache}
 
     def with_weights(self, weights) -> "DiscreteMeasure":
         """Same support with new weights.
@@ -194,25 +202,30 @@ class DiscreteMeasure:
         return self.with_weights(self.weights / self.total_mass)
 
 
-def _pair_distance_blocks(atoms: np.ndarray):
-    """Yield upper-triangle distance blocks of 1024 rows without
-    materializing N x N."""
-    n = atoms.shape[0]
-    for i0 in range(0, n, 1024):
-        rows = atoms[i0 : i0 + 1024]
-        diffs = rows[:, None, :] - atoms[None, i0:, :]
-        d = np.linalg.norm(diffs, axis=2)
-        r, c = np.triu_indices(d.shape[0], k=1, m=d.shape[1])
-        yield d[r, c]
+def _extreme_pair_distance(atoms: np.ndarray, largest: bool = False) -> float:
+    """Smallest (or largest) distance between two atoms, bit for bit as
+    ``np.linalg.norm`` gives it: inf (or 0.0) for a single atom.
 
-
-def _min_pairwise_distance(atoms: np.ndarray) -> float:
-    if atoms.shape[0] < 2:
-        return math.inf
-    best = math.inf
-    for block in _pair_distance_blocks(atoms):
-        if block.size:
-            best = min(best, float(block.min()))
+    Squared distances are summed by einsum in blocks of 1024 rows against
+    the atoms from the block's first row on, so every unordered pair is
+    seen without materializing N x N.  They can round a few ulps away from
+    norm's sums, so a block's extreme square only locates its candidates,
+    within ``_EXTREME_RTOL``, and those alone are measured with norm.
+    """
+    best = 0.0 if largest else math.inf
+    for i0 in range(0, atoms.shape[0], 1024):
+        diffs = atoms[i0 : i0 + 1024, None, :] - atoms[None, i0:, :]
+        sq = np.einsum("ijk,ijk->ij", diffs, diffs)
+        if largest:
+            near = sq >= sq.max() * (1.0 - _EXTREME_RTOL)
+            best = max(best, float(np.linalg.norm(diffs[near], axis=1).max()))
+            continue
+        # Entry (k, k) of a block is its k-th row's own atom.
+        np.fill_diagonal(sq, math.inf)
+        low = sq.min()
+        if low < math.inf:
+            near = sq <= low * (1.0 + _EXTREME_RTOL)
+            best = min(best, float(np.linalg.norm(diffs[near], axis=1).min()))
     return best
 
 
@@ -222,7 +235,7 @@ def merge_measures(a: DiscreteMeasure, b: DiscreteMeasure) -> DiscreteMeasure:
         raise MeasureFormatError(f"dimension mismatch: {a.n} vs {b.n}")
     atoms = np.vstack([a.atoms, b.atoms])
     weights = np.concatenate([a.weights, b.weights])
-    gap = _min_pairwise_distance(atoms)
+    gap = _extreme_pair_distance(atoms)
     delta = min(a.delta, b.delta, gap if math.isfinite(gap) else min(a.delta, b.delta))
     return DiscreteMeasure(atoms, weights, delta)
 
@@ -317,38 +330,93 @@ def cantor_measure(spec: CantorSpec) -> DiscreteMeasure:
         centers = shifted.reshape(-1, spec.n)
     atoms = spec.base * centers + np.asarray(spec.offset)
     weights = np.full(len(atoms), 1.0 / len(atoms))
+    ids, axes, sign = _cantor_orbits(spec.n, spec.depth)
     return DiscreteMeasure(atoms, weights, spec.cell_side,
-                           {"orbits": _cantor_orbits(spec.n, spec.depth)})
+                           {"orbits": ids, "group": (axes, sign)})
 
 
-def _cantor_orbits(n: int, depth: int) -> np.ndarray:
-    """Orbit ids of the depth-m Cantor atoms under the symmetries of the cube.
+def _cantor_orbits(n: int, depth: int) -> tuple:
+    """Orbits of the depth-m Cantor atoms under the symmetries of the cube.
 
     Atom k has m base-2^n corner digits, the first level most significant,
     and bit j of a digit (coordinate 0 most significant) is the corner's
     coordinate j.  Read per coordinate, the bits form n columns of m bits.
     The reflection x_j -> 1 - x_j about the cube center complements column
     j, and a permutation of the coordinates permutes the columns: the
-    hyperoctahedral group acts on the columns alone, exactly.  The id is
-    the smallest index in the orbit: complementing every column whose
+    hyperoctahedral group acts on the columns alone, exactly.  The orbit id
+    is the smallest index in the orbit: complementing every column whose
     first bit is 1 and sorting the columns ascending (coordinate 0 first)
     minimizes the index, whose bits interleave the columns level by level.
+
+    Returns (ids, axes, sign).  The group element that maps the orbit's
+    representative onto atom k undoes both steps: column j of atom k is
+    column axes[k, j] of the representative, complemented where
+    sign[k, j] = -1.  On coordinates about the cube center, and on every
+    vector field equivariant under the symmetries (differences of atoms,
+    the Riesz transform), it reads v_k[j] = sign[k, j] * v_rep[axes[k, j]].
     """
     index = np.arange((2**n) ** depth)
     shifts = np.arange(n * depth - 1, -1, -1)
     columns = ((index[:, None] >> shifts) & 1).reshape(len(index), depth, n)
-    columns ^= columns[:, :1, :]
+    # The first-level bits (none at depth 0) mark the complemented columns.
+    flip = columns[:, :1, :].any(axis=1)
+    columns ^= flip[:, None, :]
     places = np.arange(depth - 1, -1, -1)
-    values = np.sort(np.einsum("kln,l->kn", columns, 1 << places), axis=1)
+    values = np.einsum("kln,l->kn", columns, 1 << places)
+    rank = np.argsort(values, axis=1, kind="stable")
+    values = np.take_along_axis(values, rank, axis=1)
     bits = (values[:, None, :] >> places[None, :, None]) & 1
     ids = bits.reshape(len(index), n * depth) @ (1 << shifts)
-    ids.setflags(write=False)
-    return ids
+    axes = np.argsort(rank, axis=1)
+    sign = np.where(flip, -1.0, 1.0)
+    for array in (ids, axes, sign):
+        array.setflags(write=False)
+    return ids, axes, sign
 
 
 def _orbits(mu: DiscreteMeasure) -> np.ndarray:
     """Each atom's symmetry-orbit id: the smallest atom index in its orbit."""
     return mu._cache.get("orbits", np.arange(mu.size))
+
+
+class _OrbitRows(NamedTuple):
+    """The rows a functional of orbit-invariant weights reads.
+
+    ``reps`` are the representatives' atom indices (ascending), ``index``
+    each atom's position in ``reps`` and ``counts`` the orbit sizes;
+    ``axes`` and ``sign`` give each atom's group element (see
+    ``_cantor_orbits``).
+    """
+
+    reps: np.ndarray
+    index: np.ndarray
+    counts: np.ndarray
+    axes: np.ndarray
+    sign: np.ndarray
+
+    def vectors(self, at_reps: np.ndarray) -> np.ndarray:
+        """An equivariant vector field at every atom from its (R, n) values
+        at the representatives: v_k[j] = sign[k, j] * v_rep(k)[axes[k, j]]."""
+        return self.sign * np.take_along_axis(at_reps[self.index], self.axes, axis=1)
+
+
+def _orbit_rows(mu: DiscreteMeasure) -> _OrbitRows:
+    """Representatives, orbit index, orbit sizes and group elements of mu.
+
+    The orbits are used when the measure has them and its weights are
+    constant on them, bitwise (uniform weights and every Wolff optimizer
+    iterate are); then every functional of the measure is constant on the
+    orbits too, and a per-atom scalar is its value at the representative.
+    Otherwise every atom is its own representative under the identity, so
+    R = N and the same code reads every row.
+    """
+    reps, index, counts = np.unique(_orbits(mu), return_inverse=True, return_counts=True)
+    if len(reps) < mu.size and np.array_equal(mu.weights[reps][index], mu.weights):
+        return _OrbitRows(reps, index, counts, *mu._cache["group"])
+    every = np.arange(mu.size)
+    axes = np.broadcast_to(np.arange(mu.n), (mu.size, mu.n))
+    return _OrbitRows(every, every, np.ones(mu.size, dtype=int), axes,
+                      np.ones((mu.size, mu.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -429,12 +497,15 @@ def _sorted_rows(mu: DiscreteMeasure, subset=None):
 
     ``rows`` is a slice of atoms; ``order`` is its block of the cached row
     order and ``sorted distances`` the matching distance rows in that order.
-    With an index array ``subset``, only those rows are read and ``rows``
-    slices positions in ``subset``.  Blocks hold whole rows, so a tie group
-    never straddles two blocks.
+    With an ascending index array ``subset`` of distinct atoms, only those
+    rows are read and ``rows`` slices positions in ``subset``; a subset of
+    every atom reads the blocks in place.  Blocks hold whole rows, so a tie
+    group never straddles two blocks.
     """
     d = mu.distance_matrix()
     order = _row_order(mu)
+    if subset is not None and len(subset) == mu.size:
+        subset = None
     count = mu.size if subset is None else len(subset)
     block = max(1, _SORTED_BLOCK_BYTES // (8 * mu.size))
     for i0 in range(0, count, block):
@@ -446,24 +517,30 @@ def _sorted_rows(mu: DiscreteMeasure, subset=None):
 def maximal_at_atoms(
     mu: DiscreteMeasure, alpha: float, r_min: float = 0.0, r_max: float = math.inf
 ) -> np.ndarray:
-    """Vectorized maximal_function evaluated at every atom site."""
+    """Vectorized maximal_function evaluated at every atom site.
+
+    Reads one row per symmetry orbit (``_orbit_rows``).
+    """
     if alpha <= 0.0:
         raise DomainError(f"alpha must be positive, got {alpha}")
-    out = np.empty(mu.size)
-    for rows, vals, _ in _maximal_rows(mu, alpha, r_min, r_max):
+    orbits = _orbit_rows(mu)
+    out = np.empty(len(orbits.reps))
+    for rows, vals, _ in _maximal_rows(mu, alpha, r_min, r_max, orbits.reps):
         out[rows] = np.max(vals, axis=1)
-    return out
+    return out[orbits.index]
 
 
-def _maximal_rows(mu: DiscreteMeasure, alpha: float, r_min: float, r_max: float):
-    """Yield (rows, ratios, radii) over blocks of atom rows.
+def _maximal_rows(mu: DiscreteMeasure, alpha: float, r_min: float, r_max: float,
+                  subset=None):
+    """Yield (rows, ratios, radii) over blocks of atom rows (of ``subset``,
+    as in ``_sorted_rows``).
 
     Along a row in the cached row order, ``radii`` are max(d, r_min) and
     ``ratios`` the closed-ball masses over radii^alpha, zero for an empty
     ball or a radius above r_max.  The row maximum is the maximal function
     at that atom, attained at the radius of its argmax.
     """
-    for rows, order, sorted_d in _sorted_rows(mu):
+    for rows, order, sorted_d in _sorted_rows(mu, subset):
         cum = np.cumsum(mu.weights[order], axis=1)
         r = np.maximum(sorted_d, r_min)
         # Only radii in [r_min, r_max] are admissible: none when r_max < r_min.
@@ -477,14 +554,22 @@ def _maximal_rows(mu: DiscreteMeasure, alpha: float, r_min: float, r_max: float)
 # ---------------------------------------------------------------------------
 
 
-def measure_to_json(mu: DiscreteMeasure) -> str:
-    """Canonical JSON document {n, delta, atoms, weights} with a newline."""
+def measure_to_json(mu: DiscreteMeasure, cantor: CantorSpec | None = None) -> str:
+    """Canonical JSON document {n, delta, atoms, weights} with a newline.
+
+    With the ``cantor`` spec that built mu, the document also records it
+    under "cantor" (n, ratio, depth, base, offset), so that reading the file
+    back restores the measure's symmetry orbits.
+    """
     doc = {
         "n": mu.n,
         "delta": mu.delta,
         "atoms": [[float(v) for v in row] for row in mu.atoms],
         "weights": [float(w) for w in mu.weights],
     }
+    if cantor is not None:
+        doc["cantor"] = {"n": cantor.n, "ratio": cantor.ratio, "depth": cantor.depth,
+                         "base": cantor.base, "offset": list(cantor.offset)}
     return json.dumps(doc) + "\n"
 
 
@@ -508,7 +593,28 @@ def measure_from_json(text: str) -> DiscreteMeasure:
         raise MeasureFormatError(
             f"atoms must be a list of length-{doc['n']} rows, got shape {atoms.shape}"
         )
-    return DiscreteMeasure(atoms, weights, delta=delta)
+    geometry = {} if "cantor" not in doc else _cantor_geometry(doc["cantor"], atoms)
+    return DiscreteMeasure(atoms, weights, delta, geometry)
+
+
+def _cantor_geometry(key, atoms: np.ndarray) -> dict:
+    """The symmetry orbits of a measure file's "cantor" spec, when the spec
+    rebuilds the file's atoms bit for bit; no orbits otherwise."""
+    fields = ("n", "ratio", "depth", "base", "offset")
+    if not isinstance(key, dict) or set(key) != set(fields):
+        raise MeasureFormatError(f'"cantor" must be an object with keys {list(fields)}')
+    if not all(type(key[f]) is int for f in ("n", "depth")):
+        raise MeasureFormatError('"cantor" n and depth must be integers')
+    try:
+        spec = CantorSpec(**key)
+    except (TypeError, ValueError) as exc:
+        raise MeasureFormatError(f'invalid "cantor" spec: {exc}') from exc
+    if spec.atom_count != len(atoms):
+        return {}
+    built = cantor_measure(spec)
+    if built.atoms.shape != atoms.shape or built.atoms.tobytes() != atoms.tobytes():
+        return {}
+    return built._orbit_cache()
 
 
 def measure_from_csv(text: str) -> DiscreteMeasure:

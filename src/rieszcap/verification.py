@@ -571,6 +571,20 @@ def suite_optimizer(seed: int = 0) -> SuiteResult:
                 and float(np.max(np.abs(w - w_plain))) <= 1e-12 * float(w_plain.max()),
                 f"n = {n} Cantor: the orbit-reduced optimizer departs from the orbit-free run",
             )
+            # The energies of the witness read one row per orbit too.
+            witness = reduced.witness
+            plain_witness = DiscreteMeasure(witness.atoms, witness.weights, witness.delta)
+            params = KernelParams(0.5, n)
+            for name, f in (
+                ("symmetrization_energy", lambda m: symmetrization_energy(m, params, window)),
+                ("wolff_energy", lambda m: wolff_energy(m, exps, window)),
+                ("maximal_potential_energy",
+                 lambda m: maximal_potential_energy(m, params, window)),
+            ):
+                res.record(
+                    _rel_close(f(witness), f(plain_witness), 1e-12),
+                    f"n = {n} Cantor: orbit-reduced {name} departs from the orbit-free value",
+                )
     return res
 
 

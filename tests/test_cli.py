@@ -220,6 +220,38 @@ class TestCompareAndBilip:
                      "--map", "nope", "--alpha", "0.5", "--eps", "0.5"]) == 3
 
 
+class TestCantorMeasureFile:
+    """A measure file written by ``gen`` keeps the Cantor orbits."""
+
+    def _gen(self, tmp_path):
+        path = tmp_path / "m.json"
+        assert main(["gen", "--dimension", "0.75", "--depth", "3", "--out", str(path)]) == 0
+        return path
+
+    def _orbits(self, tmp_path, path):
+        out = tmp_path / "cmp.json"
+        assert main(["compare", "--measure", str(path), "--out", str(out)]) == 0
+        return json.loads(out.read_text())["wolff_proxy"]["diagnostics"]["orbits"]
+
+    def test_gen_then_compare_reads_orbits(self, tmp_path):
+        assert self._orbits(tmp_path, self._gen(tmp_path)) == 10.0
+
+    def test_nudged_atom_reads_every_row(self, tmp_path):
+        path = self._gen(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["atoms"][0][1] = float(np.nextafter(doc["atoms"][0][1], 1.0))
+        path.write_text(json.dumps(doc))
+        assert self._orbits(tmp_path, path) == 64.0
+
+    def test_bad_cantor_key_exit_3(self, tmp_path):
+        path = self._gen(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["cantor"]["ratio"] = "quarter"
+        path.write_text(json.dumps(doc))
+        assert main(["compare", "--measure", str(path)]) == 3
+        assert main(["energy", "--measure", str(path)]) == 3
+
+
 class TestMeasureRoundTripViaCli:
     def test_csv_import(self, tmp_path):
         csv_path = tmp_path / "m.csv"

@@ -164,6 +164,19 @@ class TestCantorGenerator:
         assert spec.ratio == pytest.approx(4.0 ** (-1 / 0.5))
         assert spec.similarity_dimension == pytest.approx(0.5, rel=1e-14)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_min_gap_and_diameter_match_norm_bitwise(self, rng, n):
+        clouds = [rng.normal(size=(size, n)) * 10.0 ** rng.uniform(-6, 6, size=n)
+                  for size in (2, 3, 40, 1100)]
+        clouds.append(cantor_measure(cantor_spec_for_dimension(n, 0.7 * n, 8 // n,
+                                                               base=1.3)).atoms)
+        for atoms in clouds:
+            d = np.linalg.norm(atoms[:, None, :] - atoms[None, :, :], axis=2)
+            mu = DiscreteMeasure(atoms, np.ones(len(atoms)))
+            assert mu.diameter == d.max()
+            np.fill_diagonal(d, np.inf)
+            assert mu.min_gap == d.min()
+
     def test_deterministic_bit_identical(self):
         a = cantor_measure(CantorSpec(n=2, ratio=0.3, depth=4))
         b = cantor_measure(CantorSpec(n=2, ratio=0.3, depth=4))
@@ -259,6 +272,37 @@ class TestCantorOrbits:
             match, miss = _matched_images(moved, center, perm, signs)
             assert miss.max() <= 1e-12
             assert np.array_equal(ids[match], ids)
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    @pytest.mark.parametrize("family", ORBIT_FAMILIES, ids=["n1", "n2", "n3"])
+    def test_group_elements_map_representatives_onto_atoms(self, family, depth):
+        n, dim = family
+        orbits = measures._orbit_rows(cantor_measure(cantor_spec_for_dimension(n, dim, depth)))
+        assert np.array_equal(orbits.axes[orbits.reps], np.broadcast_to(np.arange(n), (len(orbits.reps), n)))
+        assert np.all(orbits.sign[orbits.reps] == 1.0)
+        # Ratio 1/4 and the unit cube: every coordinate about the center is
+        # dyadic, so the image of the representative is the atom exactly.
+        mu = cantor_measure(cantor_spec_for_dimension(n, n / 2, depth))
+        orbits = measures._orbit_rows(mu)
+        y = mu.atoms - 0.5
+        assert np.array_equal(orbits.vectors(y[orbits.reps]), y)
+        # Any other ratio, base and offset: exactly up to rounding.
+        spec = cantor_spec_for_dimension(n, dim, depth, base=1.7, offset=np.linspace(-0.4, 0.9, n))
+        mu = cantor_measure(spec)
+        y = mu.atoms - (0.5 * spec.base + np.asarray(spec.offset))
+        np.testing.assert_allclose(measures._orbit_rows(mu).vectors(y[orbits.reps]), y,
+                                   rtol=0.0, atol=1e-15 * spec.base)
+
+    def test_weights_off_the_orbits_give_singleton_rows(self, rng):
+        mu = cantor_measure(cantor_spec_for_dimension(2, 0.75, 2))
+        assert len(measures._orbit_rows(mu).reps) == 3
+        w = mu.weights.copy()
+        w[1] = np.nextafter(w[1], 1.0)
+        for nu in (mu.with_weights(w), DiscreteMeasure(mu.atoms, mu.weights, mu.delta)):
+            orbits = measures._orbit_rows(nu)
+            assert np.array_equal(orbits.reps, np.arange(mu.size))
+            assert np.array_equal(orbits.index, np.arange(mu.size))
+            assert np.array_equal(orbits.vectors(mu.atoms), mu.atoms)
 
     def test_other_measures_have_singleton_orbits(self, monkeypatch):
         mu = cantor_measure(cantor_spec_for_dimension(2, 0.75, 2))
@@ -427,6 +471,42 @@ class TestSerialization:
     def test_csv_bad_header(self):
         with pytest.raises(MeasureFormatError):
             measure_from_csv("a,b,c\n1,2,3\n")
+
+    def test_cantor_key_restores_orbits(self):
+        spec = cantor_spec_for_dimension(2, 0.75, 3)
+        mu = cantor_measure(spec)
+        text = measure_to_json(mu, cantor=spec)
+        assert json.loads(text)["cantor"] == {"n": 2, "ratio": spec.ratio, "depth": 3,
+                                              "base": 1.0, "offset": [0.0, 0.0]}
+        back = measure_from_json(text)
+        assert np.array_equal(measures._orbits(back), measures._orbits(mu))
+        assert len(measures._orbit_rows(back).reps) == 10
+        assert measure_to_json(back) == measure_to_json(mu)
+
+    def test_cantor_key_needs_the_same_atoms(self):
+        spec = cantor_spec_for_dimension(2, 0.75, 3)
+        doc = json.loads(measure_to_json(cantor_measure(spec), cantor=spec))
+        doc["atoms"][5][0] = float(np.nextafter(doc["atoms"][5][0], 1.0))
+        back = measure_from_json(json.dumps(doc))
+        assert np.array_equal(measures._orbits(back), np.arange(64))
+        doc = json.loads(measure_to_json(cantor_measure(spec), cantor=spec))
+        doc["cantor"]["depth"] = 2
+        assert np.array_equal(measures._orbits(measure_from_json(json.dumps(doc))), np.arange(64))
+
+    @pytest.mark.parametrize("key", [
+        [], {"n": 2}, {"n": 2, "ratio": 0.25, "depth": 1, "base": 1.0, "offset": [0.0, 0.0], "x": 1},
+        {"n": 2.0, "ratio": 0.25, "depth": 1, "base": 1.0, "offset": [0.0, 0.0]},
+        {"n": 2, "ratio": 0.25, "depth": True, "base": 1.0, "offset": [0.0, 0.0]},
+        {"n": 2, "ratio": 0.75, "depth": 1, "base": 1.0, "offset": [0.0, 0.0]},
+        {"n": 2, "ratio": "a", "depth": 1, "base": 1.0, "offset": [0.0, 0.0]},
+        {"n": 2, "ratio": 0.25, "depth": 1, "base": 1.0, "offset": [0.0]},
+        {"n": 2, "ratio": 0.25, "depth": 40, "base": 1.0, "offset": [0.0, 0.0]},
+    ])
+    def test_malformed_cantor_key(self, key):
+        doc = json.loads(measure_to_json(cantor_measure(CantorSpec(n=2, ratio=0.25, depth=1))))
+        doc["cantor"] = key
+        with pytest.raises(MeasureFormatError):
+            measure_from_json(json.dumps(doc))
 
     def test_json_missing_keys(self):
         with pytest.raises(MeasureFormatError):
