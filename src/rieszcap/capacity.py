@@ -45,9 +45,9 @@ from .kernels import KernelParams
 from .measures import (
     DiscreteMeasure,
     _maximal_rows,
-    _orbit_rows,
     _row_order,
     _sorted_rows,
+    _symmetry_orbits,
     measure_to_json,
 )
 
@@ -113,9 +113,9 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
 class _WolffObjective:
     """E(w) = sum_i w_i integral (m_i(r; w)/r^trace)^e dr/r on a fixed support.
 
-    The objective works on the support's symmetry orbits (``_orbit_rows``;
-    singleton orbits when the support's own weights are not constant on
-    them): the weights must be constant on each orbit, and then so are the
+    The objective works on the support's symmetry orbits
+    (``_symmetry_orbits``, whatever the support's own weights): the
+    weights must be constant on each orbit, and then so are the
     per-atom potentials, so only one representative row per orbit is
     read.  The rows of the support's cached row order at the R
     representatives give, per row, the piece drops and the flat index that
@@ -145,7 +145,7 @@ class _WolffObjective:
         self.exps = exps
         self.beta = beta
         size = support.size
-        self.reps, self.index, counts = _orbit_rows(support)[:3]
+        self.reps, self.index, counts = _symmetry_orbits(support)[:3]
         self.counts = counts.astype(float)
         reps = len(self.reps)
         # Singleton orbits read the cached order itself, not an N x N copy.

@@ -43,13 +43,13 @@ so is every per-atom scalar here (squared potentials, Wolff potentials,
 the maximal function), and the transform is equivariant, R(g x) = g R(x).
 The row passes therefore run over the R representatives only, and each
 atom takes its representative's value, or its image under the group
-element for R.  T1 at a representative needs R at every atom, which the
-group elements give; K_ki = -K_ik bitwise, because the distance matrix is
-symmetric, so T1_i is read from i's own kernel row.  The completed square
-costs O(R N) plus O(n N) per close pair of a representative; without
-orbits, or with weights that are not constant on them, R = N in the same
-code.  The ball-mass double sum is the exception: it keeps every row (see
-``_ball_mass_rows``).
+element for R.  T1 and T3 sum over every row: weighting each
+representative row by its orbit's mass gives their orbit sums, and the
+orbit mean is the value at the representative (``_completed_square``).
+The completed square costs O(R (N + P)) in one pass over R kernel rows;
+without orbits, or with weights that are not constant on them, R = N in
+the same code.  The ball-mass double sum is the exception: it keeps
+every row (see ``_ball_mass_rows``).
 
 The triple sum is sum_i w_i (gram_i + X_i): every triple is summed once
 around each of its three atoms (sum_i w_i X_i = 2 sum_k w_k gram_k).
@@ -169,6 +169,13 @@ def _row_block(n_atoms: int, n_dim: int) -> int:
     return max(1, (32 << 20) // max(1, n_atoms * n_dim * 8))
 
 
+def _block_rows(mu: DiscreteMeasure, rows: np.ndarray, sel: slice):
+    """The atoms of block ``sel`` of the ascending row set ``rows``: the
+    slice itself when ``rows`` holds every atom, so the distance matrix's
+    blocks are read in place."""
+    return sel if len(rows) == mu.size else rows[sel]
+
+
 def _kernel_rows(mu: DiscreteMeasure, alpha: float, eps: float, rows) -> np.ndarray:
     """K[m, j] = k_a(x_j - x_{rows[m]}) where d > eps, and zero where d <= eps."""
     x = mu.atoms
@@ -217,31 +224,42 @@ def truncated_riesz_transform(
 
 
 def _transform_at_atoms(mu: DiscreteMeasure, alpha: float, eps: float, rows: np.ndarray,
-                        pairs=None) -> tuple:
+                        pairs=None, mass=None) -> tuple:
     """Truncated transform and close-pair sums at the atoms ``rows``, in row
     blocks.
 
-    Returns (r, close, close_abs), one entry per atom of ``rows``.  The
-    kernel rows carry the cutoff: K[m, j] = v_mj k_a(x_j - x_m) with
-    v = [d > eps], and R_m = sum_j w_j K[m, j].  For the unordered close
-    pairs (a, b) in ``pairs``, the same rows give dot_mp = K[m, a] . K[m, b],
-    which vanishes unless m sees both atoms; close_m = 2 sum_p w_a w_b dot_mp,
-    and close_abs_m sums the exact absolute terms that the certificate
-    needs.  A block's rows are sized from N + 2P, for its kernel rows and
-    the two gathered legs, so memory beyond the O(N^2) distance matrix is
-    one row block at any P.  The energies pass the representatives of the
-    symmetry orbits (``_orbit_rows``), so the pass costs O(R (N + P)).
+    Returns (r, close, close_abs, s, s_abs, u, u_abs); r, close and
+    close_abs have one entry per atom of ``rows``.  The kernel rows carry
+    the cutoff: K[m, j] = v_mj k_a(x_j - x_m) with v = [d > eps], and
+    R_m = sum_j w_j K[m, j].  For the unordered close pairs (a, b) in
+    ``pairs``, the same rows give dot_mp = K[m, a] . K[m, b], which vanishes
+    unless m sees both atoms; close_m = 2 sum_p w_a w_b dot_mp, and
+    close_abs_m sums the absolute terms.  With ``mass`` (one weight per
+    row), the blocks also give s_p = sum_m mass_m dot_mp and, at every atom
+    i, u_i = sum_m mass_m K[m, i] . R_m, each with the sum of the absolute
+    values of its terms; otherwise these are zero.  A block's rows are
+    sized from N + 2P, for its kernel rows and the two gathered legs, so
+    memory beyond the O(N^2) distance matrix is one row block at any P and
+    each kernel row is formed once.  close_abs and s_abs sum the exact
+    |dot_mp| that the certificate needs.  The energies pass the
+    representatives of the symmetry orbits (``_orbit_rows``), so the pass
+    costs O(R (N + P)).
     """
     w = mu.weights
     a, b = np.empty((2, 0), dtype=int) if pairs is None else pairs.T
     pair_w = w[a] * w[b]
-    r = np.empty((len(rows), mu.n))
-    close = np.empty(len(rows))
-    close_abs = np.empty(len(rows))
+    count = len(rows)
+    r = np.empty((count, mu.n))
+    close = np.empty(count)
+    close_abs = np.empty(count)
+    s = np.zeros(len(a))
+    s_abs = np.zeros(len(a))
+    u = np.zeros(mu.size)
+    u_abs = np.zeros(mu.size)
     block = _row_block(mu.size + 2 * len(a), mu.n)
-    for i0 in range(0, len(rows), block):
+    for i0 in range(0, count, block):
         sel = slice(i0, i0 + block)
-        kernels = _kernel_rows(mu, alpha, eps, rows[sel])
+        kernels = _kernel_rows(mu, alpha, eps, _block_rows(mu, rows, sel))
         r[sel] = np.einsum("mjn,j->mn", kernels, w)
         legs = np.take(kernels, a, axis=1)
         legs *= np.take(kernels, b, axis=1)
@@ -250,9 +268,18 @@ def _transform_at_atoms(mu: DiscreteMeasure, alpha: float, eps: float, rows: np.
         for c in range(1, mu.n):
             dot += legs[:, :, c]
         close[sel] = 2.0 * (dot @ pair_w)
+        if mass is not None:
+            s += mass[sel] @ dot
         np.abs(dot, out=dot)
         close_abs[sel] = 2.0 * (dot @ pair_w)
-    return r, close, close_abs
+        if mass is not None:
+            s_abs += mass[sel] @ dot
+            # terms[m, i] = mass_m K[m, i] . R_m over the block's rows m.
+            terms = np.einsum("min,mn->mi", kernels, r[sel])
+            terms *= mass[sel, None]
+            u += terms.sum(axis=0)
+            u_abs += np.abs(terms, out=terms).sum(axis=0)
+    return r, close, close_abs, s, s_abs, u, u_abs
 
 
 def riesz_transform_at_atoms(
@@ -354,19 +381,25 @@ def _completed_square(mu: DiscreteMeasure, alpha: float, eps: float) -> _Square:
     Splitting v_ij = 1 - [i = j] - [(i, j) close] in the cross part of the
     squared potential gives x_i = 2 (T1_i - T2_i - T3_i) with
 
-        T1_i = sum_k w_k v_ik K_ki . R_k = -sum_k w_k K_ik . R_k,
+        T1_i = sum_k w_k v_ik K_ki . R_k,
         T2_i = w_i sum_k w_k v_ik d_ik^(-2 alpha)  (the diagonal's powers),
         T3_i = sum over close pairs (i, j) of w_j s_ij,
-        s_ij = sum_k w_k v_ki v_kj K_ki . K_kj = sum_k w_k K_ik . K_jk.
+        s_ab = sum_k w_k v_ka v_kb K_ka . K_kb     (the close-pair dots).
 
-    R and the close-pair sums come from the kernel rows of
-    ``_transform_at_atoms`` at the representatives, T1 and the powers
-    d^(-2 alpha) from a second pass over the same rows (R at every atom
-    must be known first), and s_ij from the kernel rows of i and of its
-    close partners (``_close_partner_sums``).  Each pass holds one row
-    block at a time, so memory beyond the O(N^2) distance matrix is one
-    block.  The certificate's magnitudes add up the absolute terms of
-    every part that was summed, each close-pair term with its exact |dot|.
+    R, the close-pair sums and the s_ab come from the kernel rows of one
+    ``_transform_at_atoms`` pass over the representatives, and the powers
+    d^(-2 alpha) from row blocks of the distance matrix, so memory beyond
+    the O(N^2) distance matrix is one block and each kernel row is formed
+    once.  T1 and T3 sum over every row k.  Row k = g(r) of an orbit
+    O_r adds to the atom i the term that row r adds to g^-1(i), because
+    the symmetry g is an isometry that fixes the weights and
+    K_{g r, g j} = g K_rj; summed over an orbit O, which g maps onto
+    itself, sum_{i in O} T1_i = sum_r |O_r| w_r sum_{j in O} K_rj . R_r.
+    The pass therefore weights each representative row by its orbit mass
+    |O_r| w_r, and T1 and T3 at a representative are their orbit means
+    (with singleton orbits, the unweighted sums themselves).  The
+    certificate's magnitudes add up the absolute terms of every part that
+    was summed, each close-pair term with its exact |dot|.
     """
     key = ("square", alpha, eps)
     if key not in mu._cache:
@@ -400,75 +433,34 @@ def _square_sums(mu: DiscreteMeasure, alpha: float, eps: float, pairs: np.ndarra
     """(r, gram, cross, magnitude) of the completed square at the orbit
     representatives, uncertified; r is (R, n)."""
     reps = orbits.reps
+    a, b = pairs.T
     d = mu.distance_matrix()
     w = mu.weights
-    r, close, close_abs = _transform_at_atoms(mu, alpha, eps, reps, pairs)
+    # Each representative row stands for its whole orbit.
+    r, close, close_abs, s, s_abs, u, u_abs = _transform_at_atoms(
+        mu, alpha, eps, reps, pairs, orbits.counts * w[reps])
     sq = np.einsum("mn,mn->m", r, r)
-    # T1 reads R at every atom: each is its representative's under the
-    # atom's group element.
-    wr = w[:, None] * orbits.vectors(r)
     diag = np.empty(len(reps))
     inv_w = np.empty(len(reps))
-    t1 = np.empty(len(reps))
-    t1_abs = np.empty(len(reps))
     ww = w * w
     block = _row_block(mu.size, mu.n)
     for i0 in range(0, len(reps), block):
         sel = slice(i0, i0 + block)
-        rows = d[reps[sel]]
+        rows = d[_block_rows(mu, reps, sel)]
         with np.errstate(divide="ignore"):
             inv = rows ** (-2.0 * alpha)
         inv[rows <= eps] = 0.0
         diag[sel] = inv @ ww
         inv_w[sel] = inv @ w
-        # The pass that formed R is gone, so its kernel block is recomputed
-        # here: K[k, i] = -K[i, k] bitwise (the distance matrix is
-        # symmetric), so T1_i = -sum_k w_k K[i, k] . R_k.
-        terms = np.einsum("mkn,kn->mk", _kernel_rows(mu, alpha, eps, reps[sel]), wr)
-        t1[sel] = -terms.sum(axis=1)
-        t1_abs[sel] = np.abs(terms, out=terms).sum(axis=1)
     t2 = w[reps] * inv_w
-    t3, t3_abs = _close_partner_sums(mu, alpha, eps, pairs, reps)
+    # Gathered at every atom, T1 and T3 are sums over all rows k; the
+    # representative rows give their orbit means (``_OrbitRows.mean``).
+    t1, t1_abs = orbits.mean(u), orbits.mean(u_abs)
+    t3 = orbits.mean(np.bincount(a, w[b] * s, mu.size) + np.bincount(b, w[a] * s, mu.size))
+    t3_abs = orbits.mean(np.bincount(a, w[b] * s_abs, mu.size)
+                         + np.bincount(b, w[a] * s_abs, mu.size))
     return (r, sq - diag - close, 2.0 * (t1 - t2 - t3),
             sq + diag + close_abs + 2.0 * (t1_abs + t2 + t3_abs))
-
-
-def _close_partner_sums(mu: DiscreteMeasure, alpha: float, eps: float, pairs: np.ndarray,
-                        rows: np.ndarray) -> tuple:
-    """T3_i = sum over the close partners j of i of w_j s_ij at the atoms
-    ``rows``, with the sums of the absolute terms.
-
-    s_ij = sum_k w_k K[k, i] . K[k, j] = sum_k w_k K[i, k] . K[j, k] reads
-    the kernel rows of i and of its partners only: each partner's row is
-    formed once per block of partners, and each (i, j) costs O(n N).
-    """
-    w = mu.weights
-    at = np.full(mu.size, -1)
-    at[rows] = np.arange(len(rows))
-    ends = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    others = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    keep = at[ends] >= 0
-    centers, others = at[ends[keep]], others[keep]
-    partners, slot = np.unique(others, return_inverse=True)
-    block = _row_block(mu.size, mu.n)
-    # Incidences sorted by partner block, then by center.
-    chunk = slot // block
-    by = np.lexsort((centers, chunk))
-    centers, slot, chunk = centers[by], slot[by], chunk[by]
-    t3 = np.zeros(len(rows))
-    t3_abs = np.zeros(len(rows))
-    for j0 in range(0, len(partners), block):
-        lo, hi = np.searchsorted(chunk, [j0 // block, j0 // block + 1])
-        kernels = _kernel_rows(mu, alpha, eps, partners[j0 : j0 + block])
-        runs = np.flatnonzero(np.diff(centers[lo:hi], prepend=-1, append=-2)) + lo
-        for c0, c1 in zip(runs[:-1], runs[1:]):
-            m = centers[c0]
-            own = _kernel_rows(mu, alpha, eps, rows[m : m + 1])[0]
-            dots = np.einsum("jkn,kn->jk", kernels[slot[c0:c1] - j0], own)
-            wj = w[partners[slot[c0:c1]]]
-            t3[m] += wj @ (dots @ w)
-            t3_abs[m] += wj @ (np.abs(dots, out=dots) @ w)
-    return t3, t3_abs
 
 
 # ---------------------------------------------------------------------------

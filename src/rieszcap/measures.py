@@ -320,6 +320,13 @@ def cantor_measure(spec: CantorSpec) -> DiscreteMeasure:
     delta equals the cell side base * ratio^m.  The measure carries the
     symmetry orbits of its atoms (``_cantor_orbits``).
     """
+    weights = np.full(spec.atom_count, 1.0 / spec.atom_count)
+    return DiscreteMeasure(_cantor_atoms(spec), weights, spec.cell_side,
+                           _cantor_geometry(spec))
+
+
+def _cantor_atoms(spec: CantorSpec) -> np.ndarray:
+    """The cell centers of the spec, corners in lexicographic order."""
     lam = spec.ratio
     corners = np.array(
         [[float(b) for b in np.binary_repr(k, width=spec.n)] for k in range(spec.pieces)]
@@ -328,11 +335,13 @@ def cantor_measure(spec: CantorSpec) -> DiscreteMeasure:
     for _ in range(spec.depth):
         shifted = lam * centers[:, None, :] + (1.0 - lam) * corners[None, :, :]
         centers = shifted.reshape(-1, spec.n)
-    atoms = spec.base * centers + np.asarray(spec.offset)
-    weights = np.full(len(atoms), 1.0 / len(atoms))
+    return spec.base * centers + np.asarray(spec.offset)
+
+
+def _cantor_geometry(spec: CantorSpec) -> dict:
+    """The cache entries of the spec's symmetry orbits (``_GEOMETRY``)."""
     ids, axes, sign = _cantor_orbits(spec.n, spec.depth)
-    return DiscreteMeasure(atoms, weights, spec.cell_side,
-                           {"orbits": ids, "group": (axes, sign)})
+    return {"orbits": ids, "group": (axes, sign)}
 
 
 def _cantor_orbits(n: int, depth: int) -> tuple:
@@ -399,24 +408,46 @@ class _OrbitRows(NamedTuple):
         at the representatives: v_k[j] = sign[k, j] * v_rep(k)[axes[k, j]]."""
         return self.sign * np.take_along_axis(at_reps[self.index], self.axes, axis=1)
 
+    def mean(self, at_atoms: np.ndarray) -> np.ndarray:
+        """Orbit means of a per-atom scalar, at the representatives."""
+        return np.bincount(self.index, at_atoms, len(self.reps)) / self.counts
 
-def _orbit_rows(mu: DiscreteMeasure) -> _OrbitRows:
-    """Representatives, orbit index, orbit sizes and group elements of mu.
 
-    The orbits are used when the measure has them and its weights are
-    constant on them, bitwise (uniform weights and every Wolff optimizer
-    iterate are); then every functional of the measure is constant on the
-    orbits too, and a per-atom scalar is its value at the representative.
-    Otherwise every atom is its own representative under the identity, so
-    R = N and the same code reads every row.
-    """
-    reps, index, counts = np.unique(_orbits(mu), return_inverse=True, return_counts=True)
-    if len(reps) < mu.size and np.array_equal(mu.weights[reps][index], mu.weights):
-        return _OrbitRows(reps, index, counts, *mu._cache["group"])
+def _symmetry_orbits(mu: DiscreteMeasure) -> _OrbitRows:
+    """Representatives, orbit index, orbit sizes and group elements of the
+    support's symmetry orbits, whatever the weights."""
+    if "orbits" not in mu._cache:
+        return _singleton_orbits(mu)
+    reps, index, counts = np.unique(mu._cache["orbits"], return_inverse=True,
+                                    return_counts=True)
+    if len(reps) == mu.size:
+        return _singleton_orbits(mu)
+    return _OrbitRows(reps, index, counts, *mu._cache["group"])
+
+
+def _singleton_orbits(mu: DiscreteMeasure) -> _OrbitRows:
+    """Every atom its own representative under the identity."""
     every = np.arange(mu.size)
     axes = np.broadcast_to(np.arange(mu.n), (mu.size, mu.n))
     return _OrbitRows(every, every, np.ones(mu.size, dtype=int), axes,
                       np.ones((mu.size, mu.n)))
+
+
+def _orbit_rows(mu: DiscreteMeasure) -> _OrbitRows:
+    """The symmetry orbits that a functional of mu's weights may reduce to.
+
+    The support's orbits (``_symmetry_orbits``) are used when mu's weights
+    are constant on them, bitwise (uniform weights and every Wolff
+    optimizer iterate are); then every functional of the measure is
+    constant on the orbits too, and a per-atom scalar is its value at the
+    representative.  Otherwise every atom is its own representative under
+    the identity, so R = N and the same code reads every row.
+    """
+    orbits = _symmetry_orbits(mu)
+    if len(orbits.reps) == mu.size or np.array_equal(
+            mu.weights[orbits.reps][orbits.index], mu.weights):
+        return orbits
+    return _singleton_orbits(mu)
 
 
 # ---------------------------------------------------------------------------
@@ -593,11 +624,11 @@ def measure_from_json(text: str) -> DiscreteMeasure:
         raise MeasureFormatError(
             f"atoms must be a list of length-{doc['n']} rows, got shape {atoms.shape}"
         )
-    geometry = {} if "cantor" not in doc else _cantor_geometry(doc["cantor"], atoms)
+    geometry = {} if "cantor" not in doc else _file_orbits(doc["cantor"], atoms)
     return DiscreteMeasure(atoms, weights, delta, geometry)
 
 
-def _cantor_geometry(key, atoms: np.ndarray) -> dict:
+def _file_orbits(key, atoms: np.ndarray) -> dict:
     """The symmetry orbits of a measure file's "cantor" spec, when the spec
     rebuilds the file's atoms bit for bit; no orbits otherwise."""
     fields = ("n", "ratio", "depth", "base", "offset")
@@ -606,15 +637,19 @@ def _cantor_geometry(key, atoms: np.ndarray) -> dict:
     if not all(type(key[f]) is int for f in ("n", "depth")):
         raise MeasureFormatError('"cantor" n and depth must be integers')
     try:
-        spec = CantorSpec(**key)
+        # The file's own atom count is the cap: a spec with more atoms
+        # cannot rebuild them.
+        spec = CantorSpec(**key, max_atoms=len(atoms))
+    except SizeCapError:
+        return {}
     except (TypeError, ValueError) as exc:
         raise MeasureFormatError(f'invalid "cantor" spec: {exc}') from exc
     if spec.atom_count != len(atoms):
         return {}
-    built = cantor_measure(spec)
-    if built.atoms.shape != atoms.shape or built.atoms.tobytes() != atoms.tobytes():
+    built = _cantor_atoms(spec)
+    if built.shape != atoms.shape or built.tobytes() != atoms.tobytes():
         return {}
-    return built._orbit_cache()
+    return _cantor_geometry(spec)
 
 
 def measure_from_csv(text: str) -> DiscreteMeasure:

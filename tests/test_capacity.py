@@ -263,6 +263,21 @@ class TestOrbitObjective:
         ids = measures._orbits(mu)
         assert np.array_equal(reduced.witness.weights[ids], reduced.witness.weights)
 
+    def test_support_weights_do_not_change_the_orbits(self, rng):
+        # The descent starts from uniform weights and never reads the
+        # support's own, so weights off the orbits keep the reduction.
+        mu = cantor_measure(cantor_spec_for_dimension(3, 1.5, 2))
+        window = TruncationWindow(mu.delta)
+        exps = WolffExponents.matched(KernelParams(0.5, 3))
+        cfg = OptimizerConfig(max_iters=200, tolerance=1e-8)
+        skewed = mu.with_weights(rng.uniform(0.5, 1.5, mu.size))
+        assert len(measures._orbit_rows(skewed).reps) == mu.size
+        got = minimize_wolff_energy(skewed, exps, window, cfg)
+        want = minimize_wolff_energy(mu, exps, window, cfg)
+        assert got.diagnostics["orbits"] == want.diagnostics["orbits"] == 4.0
+        assert got.value == want.value
+        assert np.array_equal(got.witness.weights, want.witness.weights)
+
 
 class TestPositiveCapacity:
     def test_single_atom_value_one(self):

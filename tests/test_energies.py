@@ -708,6 +708,26 @@ class TestOrbitReduction:
         for name, f in ORBIT_FUNCTIONALS.items():
             np.testing.assert_array_equal(f(nu, P2, window), f(plain, P2, window), err_msg=name)
 
+    @pytest.mark.parametrize("case", ["random", "cantor-depth-3"])
+    def test_each_kernel_row_formed_once(self, rng, monkeypatch, case):
+        # One pass: R kernel rows with orbits, N without, at any blocking.
+        mu, eps = _close_pair_case(rng, case)
+        original = energies._kernel_rows
+        formed = []
+
+        def counted(m, alpha, cutoff, rows):
+            formed.extend(np.arange(m.size)[rows].tolist())
+            return original(m, alpha, cutoff, rows)
+
+        monkeypatch.setattr(energies, "_kernel_rows", counted)
+        for rows in (None, 3):
+            if rows is not None:
+                monkeypatch.setattr(energies, "_row_block", lambda *args: rows)
+            for fresh in (_orbit_free(mu), _fresh(mu)):
+                formed.clear()
+                symmetrization_energy(fresh, P2, TruncationWindow(eps))
+                assert formed == measures._orbit_rows(fresh).reps.tolist()
+
     def test_ball_sum_reads_every_row(self):
         mu = cantor_measure(cantor_spec_for_dimension(2, 0.9, 2))
         params, window = KernelParams(0.75, 2), TruncationWindow(mu.delta)

@@ -490,8 +490,20 @@ class TestSerialization:
         back = measure_from_json(json.dumps(doc))
         assert np.array_equal(measures._orbits(back), np.arange(64))
         doc = json.loads(measure_to_json(cantor_measure(spec), cantor=spec))
-        doc["cantor"]["depth"] = 2
-        assert np.array_equal(measures._orbits(measure_from_json(json.dumps(doc))), np.arange(64))
+        for depth in (2, 40):
+            doc["cantor"]["depth"] = depth
+            back = measure_from_json(json.dumps(doc))
+            assert np.array_equal(measures._orbits(back), np.arange(64))
+
+    def test_cantor_key_above_the_default_cap(self):
+        # A file that `gen --max-atoms` writes above the default cap keeps
+        # its orbits: the file's own atom count bounds the spec.
+        spec = CantorSpec(n=1, ratio=0.25, depth=17, max_atoms=1 << 17)
+        assert spec.atom_count > measures.DEFAULT_ATOM_CAP
+        key = json.loads(measure_to_json(cantor_measure(CantorSpec(n=1, ratio=0.25, depth=1)),
+                                         cantor=spec))["cantor"]
+        geometry = measures._file_orbits(key, measures._cantor_atoms(spec))
+        assert len(np.unique(geometry["orbits"])) == spec.atom_count // 2
 
     @pytest.mark.parametrize("key", [
         [], {"n": 2}, {"n": 2, "ratio": 0.25, "depth": 1, "base": 1.0, "offset": [0.0, 0.0], "x": 1},
@@ -500,7 +512,6 @@ class TestSerialization:
         {"n": 2, "ratio": 0.75, "depth": 1, "base": 1.0, "offset": [0.0, 0.0]},
         {"n": 2, "ratio": "a", "depth": 1, "base": 1.0, "offset": [0.0, 0.0]},
         {"n": 2, "ratio": 0.25, "depth": 1, "base": 1.0, "offset": [0.0]},
-        {"n": 2, "ratio": 0.25, "depth": 40, "base": 1.0, "offset": [0.0, 0.0]},
     ])
     def test_malformed_cantor_key(self, key):
         doc = json.loads(measure_to_json(cantor_measure(CantorSpec(n=2, ratio=0.25, depth=1))))
