@@ -512,8 +512,8 @@ def wolff_potentials_at_atoms(
     beta = _wolff_beta(exps)
     orbits = _orbit_rows(mu)
     out = np.empty(len(orbits.reps))
-    for rows, order, sorted_d in _sorted_rows(mu, orbits.reps):
-        cum = np.cumsum(mu.weights[order], axis=1)
+    for rows, near, sorted_d in _sorted_rows(mu, orbits.reps):
+        cum = np.cumsum(near, axis=1)
         drop = _wolff_drops(sorted_d, beta, window)
         out[rows] = (cum**exps.dual_exp * drop / beta).sum(axis=1)
     return out[orbits.index]
@@ -667,10 +667,8 @@ def _ball_mass_rows(mu: DiscreteMeasure, params: KernelParams,
     dimension-0.9 depth-2 Cantor at alpha 0.75).  Until ties are decided
     within a band, reading representatives would change the sum.
     """
-    w = mu.weights
     per_row = np.empty(mu.size)
-    for rows, order, dist in _sorted_rows(mu):
-        near = w[order]
+    for rows, near, dist in _sorted_rows(mu):
         cum = np.cumsum(near, axis=1)
         # The closed ball through a tie group holds all of it: every member
         # takes the cumulative mass at the group's last member, which is the
@@ -745,7 +743,7 @@ def default_eps_sweep(mu: DiscreteMeasure, eps: float) -> np.ndarray:
 def energy_report(
     mu: DiscreteMeasure,
     params: KernelParams,
-    window: TruncationWindow | None = None,
+    window: TruncationWindow,
 ) -> EnergyReport:
     """Evaluate every report functional of one measure at one window.
 
@@ -753,8 +751,6 @@ def energy_report(
     ``default_eps_sweep``, a geometric grid from the window's eps up to the
     diameter; it is a finite surrogate for the supremum over all eps.
     """
-    if window is None:
-        window = TruncationWindow(mu.delta)
     _require_alpha_in(params, 1.0)
     sweep = default_eps_sweep(mu, window.eps)
     # The squared potentials complete the square at the window's eps; the

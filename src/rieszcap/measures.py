@@ -48,7 +48,7 @@ _GEOMETRY = ("min_gap", "dist", "order", "diameter", "orbits", "group")
 _EXTREME_RTOL = 1e-12
 
 # Byte budget of one sorted row block (float64): small blocks keep the
-# consumers' temporaries cache-sized and far below the cached N x N order.
+# consumers' temporaries cache-sized and far below the N x N distance matrix.
 _SORTED_BLOCK_BYTES = 2 << 20
 
 
@@ -71,11 +71,12 @@ class DiscreteMeasure:
     weights: np.ndarray
     delta: float = None  # type: ignore[assignment]
     # The support's geometry (``_GEOMETRY``), filled lazily; ``with_weights``
-    # seeds the new measure's cache with it.  The distance matrix and the
-    # intp row order each take 8 N^2 bytes; ball-profile consumers add one
-    # sorted row block (``_sorted_rows``) on top.  Entries that depend on
-    # the weights, such as the completed square per (alpha, eps), live only
-    # in this instance's cache.
+    # seeds the new measure's cache with it.  The distance matrix takes
+    # 8 N^2 bytes, and so does the intp row order, which only unequal
+    # weights build; ball-profile consumers add one sorted row block
+    # (``_sorted_rows``) on top.  Entries that depend on the weights, such
+    # as the completed square per (alpha, eps), live only in this
+    # instance's cache.
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -524,17 +525,21 @@ def _row_order(mu: DiscreteMeasure) -> np.ndarray:
 
 
 def _sorted_rows(mu: DiscreteMeasure, subset=None):
-    """Yield (rows, order, sorted distances) over blocks of atom rows.
+    """Yield (rows, near, sorted distances) over blocks of atom rows.
 
-    ``rows`` is a slice of atoms; ``order`` is its block of the cached row
-    order and ``sorted distances`` the matching distance rows in that order.
+    ``rows`` is a slice of atoms; ``sorted distances`` are their distance
+    rows in ascending order and ``near`` the weights in each row's stable
+    distance order (ties in index order).  Equal weights need no order:
+    the rows are value-sorted and ``near`` is the one weight, broadcast.
+    Other weights gather through the cached row order (``_row_order``).
     With an ascending index array ``subset`` of distinct atoms, only those
     rows are read and ``rows`` slices positions in ``subset``; a subset of
     every atom reads the blocks in place.  Blocks hold whole rows, so a tie
     group never straddles two blocks.
     """
     d = mu.distance_matrix()
-    order = _row_order(mu)
+    w = mu.weights
+    order = None if np.all(w == w[0]) else _row_order(mu)
     if subset is not None and len(subset) == mu.size:
         subset = None
     count = mu.size if subset is None else len(subset)
@@ -542,7 +547,11 @@ def _sorted_rows(mu: DiscreteMeasure, subset=None):
     for i0 in range(0, count, block):
         rows = slice(i0, i0 + block)
         sel = rows if subset is None else subset[rows]
-        yield rows, order[sel], np.take_along_axis(d[sel], order[sel], axis=1)
+        if order is None:
+            sorted_d = np.sort(d[sel], axis=1)
+            yield rows, np.broadcast_to(w[0], sorted_d.shape), sorted_d
+        else:
+            yield rows, w[order[sel]], np.take_along_axis(d[sel], order[sel], axis=1)
 
 
 def maximal_at_atoms(
@@ -566,13 +575,13 @@ def _maximal_rows(mu: DiscreteMeasure, alpha: float, r_min: float, r_max: float,
     """Yield (rows, ratios, radii) over blocks of atom rows (of ``subset``,
     as in ``_sorted_rows``).
 
-    Along a row in the cached row order, ``radii`` are max(d, r_min) and
+    Along a row in ascending distance order, ``radii`` are max(d, r_min) and
     ``ratios`` the closed-ball masses over radii^alpha, zero for an empty
     ball or a radius above r_max.  The row maximum is the maximal function
     at that atom, attained at the radius of its argmax.
     """
-    for rows, order, sorted_d in _sorted_rows(mu, subset):
-        cum = np.cumsum(mu.weights[order], axis=1)
+    for rows, near, sorted_d in _sorted_rows(mu, subset):
+        cum = np.cumsum(near, axis=1)
         r = np.maximum(sorted_d, r_min)
         # Only radii in [r_min, r_max] are admissible: none when r_max < r_min.
         with np.errstate(divide="ignore", invalid="ignore"):

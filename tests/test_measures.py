@@ -429,26 +429,51 @@ class TestRowOrderCache:
         comparability_report(mu, 0.5, window, OptimizerConfig(max_iters=20))
         assert sorts == [(mu.size, mu.size)]
 
+    def test_equal_weights_build_no_order(self, monkeypatch, rng):
+        # Built before counting: cantor_measure sorts each atom's digits.
+        cantor = cantor_measure(cantor_spec_for_dimension(2, 0.75, 3))
+        free = DiscreteMeasure(cantor.atoms, cantor.weights, delta=cantor.delta)
+        cloud = DiscreteMeasure(rng.uniform(0.0, 1.0, (40, 2)), np.ones(40))
+        sorts = []
+        argsort = np.argsort
+
+        def counting_argsort(a, *args, **kwargs):
+            sorts.append(np.shape(a))
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counting_argsort)
+        params = KernelParams(0.5, 2)
+        exps = WolffExponents.matched(params)
+        for mu in (cantor, free, cloud):
+            window = TruncationWindow(mu.delta)
+            wolff_energy(mu, exps, window)
+            ball_mass_double_sum(mu, params, window)
+            maximal_potential_energy(mu, params, window)
+            assert "order" not in mu._cache
+        assert sorts == []
+
     def test_row_blocks_give_bitwise_equal_results(self, monkeypatch, rng):
         # Ratio 0.5 puts many atoms at equal distances: long tie groups.
+        # Uniform weights take the value-sorted rows, the others the order.
         mu = cantor_measure(CantorSpec(n=2, ratio=0.5, depth=4))
         nu = mu.with_weights(rng.uniform(0.0, 1.0, mu.size))
         params = KernelParams(0.5, 2)
         window = TruncationWindow(2.0 * mu.delta)
         exps = WolffExponents.matched(params)
 
-        def evaluate(rows_per_block):
+        def evaluate(measure, rows_per_block):
             monkeypatch.setattr(measures, "_SORTED_BLOCK_BYTES", rows_per_block * 8 * mu.size)
             return (
-                wolff_potentials_at_atoms(nu, exps, window),
-                ball_mass_double_sum(nu, params, window),
-                maximal_at_atoms(nu, 0.5, r_min=window.eps, r_max=0.6),
+                wolff_potentials_at_atoms(measure, exps, window),
+                ball_mass_double_sum(measure, params, window),
+                maximal_at_atoms(measure, 0.5, r_min=window.eps, r_max=0.6),
             )
 
-        whole = evaluate(mu.size)
-        for rows_per_block in (1, 7):
-            for got, want in zip(evaluate(rows_per_block), whole):
-                assert np.array_equal(got, want)
+        for measure in (mu, nu):
+            whole = evaluate(measure, mu.size)
+            for rows_per_block in (1, 7):
+                for got, want in zip(evaluate(measure, rows_per_block), whole):
+                    assert np.array_equal(got, want)
 
 
 class TestSerialization:
