@@ -117,9 +117,9 @@ class _WolffObjective:
     (``_symmetry_orbits``, whatever the support's own weights): the
     weights must be constant on each orbit, and then so are the
     per-atom potentials, so only one representative row per orbit is
-    read.  The rows of the support's cached row order at the R
-    representatives give, per row, the piece drops and the flat index that
-    gathers per-piece sums back to atoms.  With orbit sizes |O_r| the
+    read.  The support's cached row order, which holds the R
+    representatives' rows, gives per row the piece drops and the flat index
+    that gathers per-piece sums back to atoms.  With orbit sizes |O_r| the
     energy is sum_r |O_r| w_r pot_r; the gradient at an atom m of orbit
     O is pot_m + e * mean over m' in O of u_m', with u = (|O| w)_reps @ J
     and J the representatives' gathered suffix sums.  ``energy`` costs one
@@ -148,9 +148,7 @@ class _WolffObjective:
         self.reps, self.index, counts = _symmetry_orbits(support)[:3]
         self.counts = counts.astype(float)
         reps = len(self.reps)
-        # Singleton orbits read the cached order itself, not an N x N copy.
-        order = _row_order(support)
-        self.order = order if reps == size else order[self.reps]
+        self.order = _row_order(support)
         # flat[r, m] is the position of atom m's piece in row r of the
         # row-reversed suffix sums, flattened: r * N + (N - 1 - rank).
         self.flat = np.empty_like(self.order)
@@ -325,7 +323,13 @@ def _energy_proxy(support, params, window, wolff_est, cfg, refine=False) -> Capa
 
 def _refine_combined(support, params, window, w0, cfg):
     """Short monotone subgradient descent on the combined energy: at most
-    25 steps, fewer when ``cfg`` caps lower."""
+    25 steps, fewer when ``cfg`` caps lower.
+
+    The iterates' weights are not constant on the symmetry orbits, so each
+    step reads every row; the support's order of every row is built once
+    and every iterate shares it.
+    """
+    _row_order(support, every=True)
 
     class _Objective:
         # The measure of the latest weights, so that its completed square

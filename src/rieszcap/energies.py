@@ -76,6 +76,7 @@ import numpy as np
 from .errors import DomainError, UnsupportedExponentError
 from .kernels import KernelParams, as_point
 from .measures import (
+    _EXTREME_RTOL,
     DiscreteMeasure,
     _orbit_rows,
     _sorted_rows,
@@ -198,7 +199,15 @@ def _kernel_from_point(mu: DiscreteMeasure, x: np.ndarray, alpha: float):
 
 
 def _close_pairs(mu: DiscreteMeasure, eps: float) -> np.ndarray:
-    """Unordered atom pairs (a, b), a < b, with 0 < distance <= eps."""
+    """Unordered atom pairs (a, b), a < b, with 0 < distance <= eps.
+
+    Below the min gap's band (``measures._EXTREME_RTOL``) no entry of the
+    distance matrix can be at most eps, so there are none and the matrix
+    is not scanned.  From the band on, the mask of the matrix decides, so
+    a distance that ties eps is read as the matrix rounds it.
+    """
+    if eps < mu.min_gap * (1.0 - _EXTREME_RTOL):
+        return np.empty((0, 2), dtype=np.intp)
     # One N x N temporary: the triangle mask of np.triu would add two more.
     a, b = np.nonzero(mu.distance_matrix() <= eps)
     upper = a < b
@@ -261,12 +270,14 @@ def _transform_at_atoms(mu: DiscreteMeasure, alpha: float, eps: float, rows: np.
         sel = slice(i0, i0 + block)
         kernels = _kernel_rows(mu, alpha, eps, _block_rows(mu, rows, sel))
         r[sel] = np.einsum("mjn,j->mn", kernels, w)
-        legs = np.take(kernels, a, axis=1)
-        legs *= np.take(kernels, b, axis=1)
-        # A loop over the few components sums faster than einsum does.
-        dot = legs[:, :, 0].copy()
+        # One component at a time: a loop over the few components sums
+        # faster than einsum does, and holds no (B, P, n) legs.
+        dot = np.take(kernels[:, :, 0], a, axis=1)
+        dot *= np.take(kernels[:, :, 0], b, axis=1)
         for c in range(1, mu.n):
-            dot += legs[:, :, c]
+            leg = np.take(kernels[:, :, c], a, axis=1)
+            leg *= np.take(kernels[:, :, c], b, axis=1)
+            dot += leg
         close[sel] = 2.0 * (dot @ pair_w)
         if mass is not None:
             s += mass[sel] @ dot

@@ -37,18 +37,22 @@ _GAP_RTOL = 1e-12
 # orbit's representative onto the atom (``_cantor_orbits``); only
 # ``cantor_measure`` and a measure file that it reproduces set them, and a
 # measure without them has singleton orbits.  Functionals of weights that
-# are constant on the orbits read one row per orbit (``_orbit_rows``); the
-# distance matrix and the row order stay whole, and the representatives
-# slice them.
-_GEOMETRY = ("min_gap", "dist", "order", "diameter", "orbits", "group")
+# are constant on the orbits read one row per orbit (``_orbit_rows``).  The
+# distance matrix stays whole and the representatives slice it; the row
+# order holds the representatives' rows only, and "full_order", every row's,
+# is built for the ``refine`` descent alone (``_row_order``).
+_GEOMETRY = ("min_gap", "dist", "order", "full_order", "diameter", "orbits", "group")
 
-# Relative band around a block's extreme squared distance (einsum) that
-# holds its extreme distance as norm computes it: the two summation orders
-# differ by a few ulps.
+# Relative band around a block's extreme squared distance that holds its
+# extreme distance as norm computes it: the two summation orders differ by
+# a few ulps.  So is every off-diagonal entry of the distance matrix above
+# min_gap * (1 - _EXTREME_RTOL).
 _EXTREME_RTOL = 1e-12
 
-# Byte budget of one sorted row block (float64): small blocks keep the
-# consumers' temporaries cache-sized and far below the N x N distance matrix.
+# Byte budget of one row block of squared distances (float64), and of one
+# sorted row block: small blocks keep the temporaries cache-sized and far
+# below the N x N distance matrix.
+_DISTANCE_BLOCK_BYTES = 2 << 20
 _SORTED_BLOCK_BYTES = 2 << 20
 
 
@@ -72,8 +76,9 @@ class DiscreteMeasure:
     delta: float = None  # type: ignore[assignment]
     # The support's geometry (``_GEOMETRY``), filled lazily; ``with_weights``
     # seeds the new measure's cache with it.  The distance matrix takes
-    # 8 N^2 bytes, and so does the intp row order, which only unequal
-    # weights build; ball-profile consumers add one sorted row block
+    # 8 N^2 bytes and the intp row order, which only unequal weights and
+    # the Wolff optimizer build, 8 R N bytes at the R orbit representatives
+    # (``_row_order``); ball-profile consumers add one sorted row block
     # (``_sorted_rows``) on top.  Entries that depend on the weights, such
     # as the completed square per (alpha, eps), live only in this
     # instance's cache.
@@ -148,16 +153,18 @@ class DiscreteMeasure:
         Computed from explicit coordinate differences (never the Gram-matrix
         shortcut): nearby atoms of deep Cantor measures sit 1e-10 apart on
         O(1) coordinates, where the difference-of-squares form loses all
-        significant digits.
+        significant digits.  Rows are built in blocks, one coordinate at a
+        time (``_squared_distances``).
         """
         if "dist" not in self._cache:
             x = self.atoms
             m = x.shape[0]
             d = np.empty((m, m))
-            block = max(1, (4 << 20) // max(1, m * x.shape[1]))
+            block = max(1, _DISTANCE_BLOCK_BYTES // (8 * m))
             for i0 in range(0, m, block):
-                diffs = x[i0 : i0 + block, None, :] - x[None, :, :]
-                d[i0 : i0 + block] = np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs))
+                rows = d[i0 : i0 + block]
+                _squared_distances(x[i0 : i0 + block], x, rows)
+                np.sqrt(rows, out=rows)
             np.fill_diagonal(d, 0.0)
             d.setflags(write=False)
             self._cache["dist"] = d
@@ -203,30 +210,61 @@ class DiscreteMeasure:
         return self.with_weights(self.weights / self.total_mass)
 
 
+def _squared_distances(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[i, j] = |a_i - b_j|^2 from explicit coordinate differences.
+
+    One coordinate at a time: each difference is squared in place, and the
+    even and the odd coordinates are summed apart and then added.  That is
+    the order in which NumPy's einsum reduces fewer than eight products, so
+    below eight dimensions the sums equal an einsum over the differences
+    bit for bit.
+    """
+    np.subtract.outer(a[:, 0], b[:, 0], out=out)
+    out *= out
+    odd = None
+    for c in range(1, a.shape[1]):
+        term = np.subtract.outer(a[:, c], b[:, c])
+        term *= term
+        if c % 2 == 0:
+            out += term
+        elif odd is None:
+            odd = term
+        else:
+            odd += term
+    if odd is not None:
+        out += odd
+    return out
+
+
 def _extreme_pair_distance(atoms: np.ndarray, largest: bool = False) -> float:
     """Smallest (or largest) distance between two atoms, bit for bit as
     ``np.linalg.norm`` gives it: inf (or 0.0) for a single atom.
 
-    Squared distances are summed by einsum in blocks of 1024 rows against
-    the atoms from the block's first row on, so every unordered pair is
-    seen without materializing N x N.  They can round a few ulps away from
-    norm's sums, so a block's extreme square only locates its candidates,
-    within ``_EXTREME_RTOL``, and those alone are measured with norm.
+    Squared distances (``_squared_distances``) are summed in row blocks
+    against the atoms from the block's first row on, so every unordered
+    pair is seen without materializing N x N.  They can round a few ulps
+    away from norm's sums, so a block's extreme square only locates its
+    candidates, within ``_EXTREME_RTOL``, and those alone are measured
+    with norm.
     """
     best = 0.0 if largest else math.inf
-    for i0 in range(0, atoms.shape[0], 1024):
-        diffs = atoms[i0 : i0 + 1024, None, :] - atoms[None, i0:, :]
-        sq = np.einsum("ijk,ijk->ij", diffs, diffs)
+    m = atoms.shape[0]
+    block = max(1, _DISTANCE_BLOCK_BYTES // (8 * m))
+    for i0 in range(0, m, block):
+        rows = atoms[i0 : i0 + block]
+        sq = _squared_distances(rows, atoms[i0:], np.empty((len(rows), m - i0)))
         if largest:
             near = sq >= sq.max() * (1.0 - _EXTREME_RTOL)
-            best = max(best, float(np.linalg.norm(diffs[near], axis=1).max()))
-            continue
-        # Entry (k, k) of a block is its k-th row's own atom.
-        np.fill_diagonal(sq, math.inf)
-        low = sq.min()
-        if low < math.inf:
+        else:
+            # Entry (k, k) of a block is its k-th row's own atom.
+            np.fill_diagonal(sq, math.inf)
+            low = sq.min()
+            if low == math.inf:
+                continue
             near = sq <= low * (1.0 + _EXTREME_RTOL)
-            best = min(best, float(np.linalg.norm(diffs[near], axis=1).min()))
+        i, j = np.nonzero(near)
+        dist = np.linalg.norm(rows[i] - atoms[i0 + j], axis=1)
+        best = max(best, float(dist.max())) if largest else min(best, float(dist.min()))
     return best
 
 
@@ -514,14 +552,26 @@ def maximal_function(
     return float(np.max(vals))
 
 
-def _row_order(mu: DiscreteMeasure) -> np.ndarray:
+def _row_order(mu: DiscreteMeasure, every: bool = False) -> np.ndarray:
     """Stable per-row order of the distance matrix, cached and read-only:
-    row i lists the atoms by distance from atom i, ties in index order."""
-    if "order" not in mu._cache:
-        order = np.argsort(mu.distance_matrix(), axis=1, kind="stable")
+    row r lists the atoms by distance from the r-th row's atom, ties in
+    index order.
+
+    The rows are the support's orbit representatives (``_symmetry_orbits``),
+    an (R, N) array kept as "order", or with ``every`` all N atoms, kept
+    apart as "full_order".  Without orbits R = N and "order" is both.
+    """
+    reps = _symmetry_orbits(mu).reps
+    every = every and len(reps) < mu.size
+    key = "full_order" if every else "order"
+    if key not in mu._cache:
+        d = mu.distance_matrix()
+        if not every and len(reps) < mu.size:
+            d = d[reps]
+        order = np.argsort(d, axis=1, kind="stable")
         order.setflags(write=False)
-        mu._cache["order"] = order
-    return mu._cache["order"]
+        mu._cache[key] = order
+    return mu._cache[key]
 
 
 def _sorted_rows(mu: DiscreteMeasure, subset=None):
@@ -531,27 +581,38 @@ def _sorted_rows(mu: DiscreteMeasure, subset=None):
     rows in ascending order and ``near`` the weights in each row's stable
     distance order (ties in index order).  Equal weights need no order:
     the rows are value-sorted and ``near`` is the one weight, broadcast.
-    Other weights gather through the cached row order (``_row_order``).
-    With an ascending index array ``subset`` of distinct atoms, only those
-    rows are read and ``rows`` slices positions in ``subset``; a subset of
-    every atom reads the blocks in place.  Blocks hold whole rows, so a tie
-    group never straddles two blocks.
+    Other weights gather through the cached row order (``_row_order``)
+    when it holds the rows read: the orbit representatives, or every atom
+    once an order of every row is cached.  Otherwise each block's rows are
+    argsorted on their own, and the order is not kept.  With an ascending
+    index array ``subset`` of distinct atoms, only those rows are read and
+    ``rows`` slices positions in ``subset``; a subset of every atom reads
+    the blocks in place.  Blocks hold whole rows, so a tie group never
+    straddles two blocks.
     """
     d = mu.distance_matrix()
     w = mu.weights
-    order = None if np.all(w == w[0]) else _row_order(mu)
     if subset is not None and len(subset) == mu.size:
         subset = None
+    equal = np.all(w == w[0])
+    order = None
+    if not equal:
+        reps = _symmetry_orbits(mu).reps
+        if np.array_equal(np.arange(mu.size) if subset is None else subset, reps):
+            order = _row_order(mu)
+        elif subset is None:
+            order = mu._cache.get("full_order")
     count = mu.size if subset is None else len(subset)
     block = max(1, _SORTED_BLOCK_BYTES // (8 * mu.size))
     for i0 in range(0, count, block):
         rows = slice(i0, i0 + block)
-        sel = rows if subset is None else subset[rows]
-        if order is None:
-            sorted_d = np.sort(d[sel], axis=1)
+        dist = d[rows if subset is None else subset[rows]]
+        if equal:
+            sorted_d = np.sort(dist, axis=1)
             yield rows, np.broadcast_to(w[0], sorted_d.shape), sorted_d
-        else:
-            yield rows, w[order[sel]], np.take_along_axis(d[sel], order[sel], axis=1)
+            continue
+        by = np.argsort(dist, axis=1, kind="stable") if order is None else order[rows]
+        yield rows, w[by], np.take_along_axis(dist, by, axis=1)
 
 
 def maximal_at_atoms(

@@ -29,6 +29,7 @@ from rieszcap.energies import (
 from rieszcap.errors import DomainError
 from rieszcap.kernels import KernelParams
 from rieszcap.measures import (
+    CantorSpec,
     DiscreteMeasure,
     cantor_measure,
     cantor_spec_for_dimension,
@@ -141,6 +142,35 @@ class TestCutoffTieOracles:
         got = symmetrization_potentials_sq_at_atoms(mu, P2, window)
         want = [naive_symmetrization_potential_sq(mu, x, 0.5, eps) for x in mu.atoms]
         assert np.allclose(got, want, rtol=1e-11, atol=1e-14)
+
+
+class TestClosePairs:
+    """Below the min gap's band no pair is close and the matrix is not
+    scanned; from the band on, the mask decides, ties at eps included."""
+
+    @staticmethod
+    def _mask_pairs(mu, eps):
+        a, b = np.nonzero(np.triu(mu.distance_matrix() <= eps, k=1))
+        return np.stack([a, b], axis=1)
+
+    @pytest.mark.parametrize("case", ["random", "cantor"])
+    def test_equals_the_mask_around_the_min_gap(self, rng, case):
+        if case == "random":
+            mu = make_random_measure(rng, 40)
+        else:
+            # Ratio 0.5: delta is the min gap, and many pairs sit at it.
+            mu = cantor_measure(CantorSpec(n=2, ratio=0.5, depth=3))
+            assert len(self._mask_pairs(mu, mu.delta)) > 0
+        gap, band = mu.min_gap, measures._EXTREME_RTOL
+        for eps in (gap * (1.0 - 2.0 * band), gap * (1.0 - 0.5 * band), gap, mu.delta):
+            got = energies._close_pairs(mu, eps)
+            assert got.dtype == np.intp and got.shape[1] == 2
+            assert np.array_equal(got, self._mask_pairs(mu, eps))
+
+    def test_below_the_band_reads_no_matrix(self, rng):
+        mu = make_random_measure(rng, 12)
+        pairs = energies._close_pairs(mu, mu.min_gap * (1.0 - 2.0 * measures._EXTREME_RTOL))
+        assert pairs.shape == (0, 2) and "dist" not in mu._cache
 
 
 class TestTruncationWindow:

@@ -22,6 +22,7 @@ from rieszcap.kernels import KernelParams
 from rieszcap.measures import (
     CantorSpec,
     DiscreteMeasure,
+    _extreme_pair_distance,
     _row_order,
     ball_profile,
     cantor_measure,
@@ -134,6 +135,40 @@ class TestDiscreteMeasure:
         mu.distance_matrix()
         with pytest.raises(MeasureFormatError):
             mu.with_weights(weights)
+
+
+def _einsum_distances(atoms):
+    """The distance matrix as an einsum over the (N, N, n) differences."""
+    diffs = atoms[:, None, :] - atoms[None, :, :]
+    d = np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs))
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+class TestDistanceGeometry:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_distance_matrix_equals_einsum_form(self, monkeypatch, rng, n):
+        # 7 rows per block: 40 and 101 atoms leave a short last block.
+        monkeypatch.setattr(measures, "_DISTANCE_BLOCK_BYTES", 7 * 8 * 101)
+        for size in (2, 40, 101):
+            atoms = rng.normal(size=(size, n)) * 10.0 ** rng.uniform(-3, 3, size=n)
+            d = DiscreteMeasure(atoms, np.ones(size)).distance_matrix()
+            assert np.array_equal(d, _einsum_distances(atoms))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_cantor_distance_matrix_equals_einsum_form(self, n):
+        mu = cantor_measure(cantor_spec_for_dimension(n, 0.7 * n, 9 // n, base=1.3))
+        assert np.array_equal(mu.distance_matrix(), _einsum_distances(mu.atoms))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_extreme_pair_distance_matches_brute_force(self, monkeypatch, rng, n):
+        monkeypatch.setattr(measures, "_DISTANCE_BLOCK_BYTES", 5 * 8 * 61)
+        for size in (1, 2, 3, 61):
+            atoms = rng.normal(size=(size, n)) * 10.0 ** rng.uniform(-6, 6, size=n)
+            d = np.linalg.norm(atoms[:, None, :] - atoms[None, :, :], axis=2)
+            assert _extreme_pair_distance(atoms, largest=True) == d.max()
+            np.fill_diagonal(d, np.inf)
+            assert _extreme_pair_distance(atoms) == d.min()
 
 
 class TestCantorGenerator:
@@ -415,18 +450,72 @@ class TestRowOrderCache:
         argsort = np.argsort
 
         def counting_argsort(a, *args, **kwargs):
-            if np.ndim(a) == 2 and a.shape[0] == a.shape[1] > 1:
+            if np.ndim(a) == 2:
                 sorts.append(a.shape)
             return argsort(a, *args, **kwargs)
 
-        monkeypatch.setattr(np, "argsort", counting_argsort)
+        # Built before counting: cantor_measure sorts each atom's digits.
         mu = cantor_measure(cantor_spec_for_dimension(2, 0.75, 3))
+        reps = len(np.unique(mu._cache["orbits"]))
+        assert reps < mu.size
+        monkeypatch.setattr(np, "argsort", counting_argsort)
         params = KernelParams(0.5, 2)
         window = TruncationWindow(mu.delta)
         wolff_energy(mu, WolffExponents.matched(params), window)
         ball_mass_double_sum(mu, params, window)
         maximal_potential_energy(mu, params, window)
-        comparability_report(mu, 0.5, window, OptimizerConfig(max_iters=20))
+        report = comparability_report(mu, 0.5, window, OptimizerConfig(max_iters=20))
+        # The witness's weights are unequal and constant on the orbits: its
+        # rows at the representatives read the support's cached order.
+        maximal_potential_energy(report.wolff_proxy.witness, params, window)
+        assert sorts == [(reps, mu.size)]
+
+    @pytest.mark.parametrize("n, ratio, depth", [(1, 0.3, 6), (2, 0.5, 3), (3, 0.25, 2)])
+    def test_order_holds_the_representative_rows(self, n, ratio, depth):
+        mu = cantor_measure(CantorSpec(n=n, ratio=ratio, depth=depth))
+        reps = np.unique(mu._cache["orbits"])
+        order = _row_order(mu)
+        full = np.argsort(mu.distance_matrix(), axis=1, kind="stable")
+        assert order.shape == (len(reps), mu.size) and len(reps) < mu.size
+        assert np.array_equal(order, full[reps])
+        free = DiscreteMeasure(mu.atoms, mu.weights, mu.delta)
+        assert np.array_equal(_row_order(free), full)
+
+    def test_rows_off_the_order_are_sorted_per_block(self, monkeypatch, rng):
+        # Unequal weights constant on the orbits: the ball sum reads every
+        # row, which the representatives' order does not hold.
+        mu = cantor_measure(CantorSpec(n=2, ratio=0.5, depth=3))
+        reps, index = np.unique(mu._cache["orbits"], return_inverse=True)
+        nu = mu.with_weights(rng.uniform(0.5, 1.5, len(reps))[index])
+        free = DiscreteMeasure(nu.atoms, nu.weights, nu.delta)
+        params = KernelParams(0.5, 2)
+        window = TruncationWindow(nu.delta)
+        order = _row_order(nu)
+        monkeypatch.setattr(measures, "_SORTED_BLOCK_BYTES", 5 * 8 * mu.size)
+        got = ball_mass_double_sum(nu, params, window)
+        assert _row_order(nu) is order and order.shape == (len(reps), mu.size)
+        assert got == ball_mass_double_sum(free, params, window)
+
+    def test_refinement_sorts_every_row_once(self, monkeypatch):
+        # The iterates' weights leave the orbits, so every step reads every
+        # row: the support's order of every row is built once and shared.
+        mu = cantor_measure(cantor_spec_for_dimension(2, 0.75, 3))
+        params = KernelParams(0.5, 2)
+        window = TruncationWindow(mu.delta)
+        report = comparability_report(mu, 0.5, window, OptimizerConfig(max_iters=20))
+        witness = report.wolff_proxy.witness
+        sorts = []
+        argsort = np.argsort
+
+        def counting_argsort(a, *args, **kwargs):
+            if np.ndim(a) == 2:
+                sorts.append(a.shape)
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counting_argsort)
+        _, _, diag = capacity._refine_combined(mu, params, window, witness.weights,
+                                               OptimizerConfig())
+        assert diag["iterations"] > 1
         assert sorts == [(mu.size, mu.size)]
 
     def test_equal_weights_build_no_order(self, monkeypatch, rng):
@@ -449,7 +538,7 @@ class TestRowOrderCache:
             wolff_energy(mu, exps, window)
             ball_mass_double_sum(mu, params, window)
             maximal_potential_energy(mu, params, window)
-            assert "order" not in mu._cache
+            assert "order" not in mu._cache and "full_order" not in mu._cache
         assert sorts == []
 
     def test_row_blocks_give_bitwise_equal_results(self, monkeypatch, rng):
