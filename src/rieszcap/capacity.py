@@ -44,6 +44,7 @@ from .errors import (
 from .kernels import KernelParams
 from .measures import (
     DiscreteMeasure,
+    _extreme_pair_distance,
     _maximal_rows,
     _row_order,
     _sorted_rows,
@@ -145,7 +146,7 @@ class _WolffObjective:
         self.exps = exps
         self.beta = beta
         size = support.size
-        self.reps, self.index, counts = _symmetry_orbits(support)[:3]
+        self.reps, self.index, counts = _symmetry_orbits(support)
         self.counts = counts.astype(float)
         reps = len(self.reps)
         self.order = _row_order(support)
@@ -542,15 +543,13 @@ def bilipschitz_experiment(
         )
     pm = PLANAR_MAPS[map_id]
     params = KernelParams(alpha, 2)
-    support = DiscreteMeasure(support.atoms, support.weights, support.delta)
+    support = DiscreteMeasure(support.atoms, support.weights, support.delta,
+                              {"min_gap": support.min_gap})
     before = estimate_positive_capacity(support, params, window, cfg)
     mapped_atoms = pm.apply(support.atoms)
-    mapped = DiscreteMeasure(mapped_atoms, support.weights, delta=None)
-    mapped = DiscreteMeasure(
-        mapped_atoms,
-        support.weights,
-        delta=min(support.delta * pm.scale_hint, mapped.min_gap),
-    )
+    gap = _extreme_pair_distance(mapped_atoms)
+    mapped = DiscreteMeasure(mapped_atoms, support.weights,
+                             min(support.delta * pm.scale_hint, gap), {"min_gap": gap})
     after = estimate_positive_capacity(mapped, params, window.scaled(pm.scale_hint), cfg)
     return BilipschitzResult(
         map_name=pm.name,

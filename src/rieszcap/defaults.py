@@ -13,7 +13,10 @@ THRESHOLDS = {
     # Max over min of (triple-sum energy / Wolff energy) across the standard
     # Cantor sweep.
     "sym_wolff_ratio_window": 50.0,
-    # Same for the ball-mass double sum used as the third estimator.
+    # Same for the ball-mass double sum.  By parts it is alpha times the
+    # matched Wolff energy, less a boundary term at eps, plus a tie term
+    # (see energies.ball_mass_double_sum), so this window largely re-checks
+    # the Wolff ratio rather than an independent estimator.
     "double_sum_ratio_window": 50.0,
     # Max over min of (energy proxy / Wolff proxy) across the sweep.
     "proxy_ratio_window": 10.0,

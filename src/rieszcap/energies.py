@@ -8,8 +8,9 @@ Implements, for an atomic measure mu with weights w_i at sites x_i:
 * Wolff potentials/energies in closed piecewise form;
 * the pointwise squared symmetrization potential and the combined
   maximal-plus-potential energy whose reciprocal feeds capacity estimates;
-* the ball-mass double sum, a third independent estimator comparable to the
-  triple-sum energy.
+* the ball-mass double sum, comparable to the triple-sum energy; it is
+  alpha times the matched Wolff energy plus a boundary term at eps and a
+  tie term (see ``ball_mass_double_sum``).
 
 Every functional carries an explicit truncation window.  Atomic measures
 make the untruncated Wolff integral and maximal function infinite, so the
@@ -20,8 +21,9 @@ Evaluating the triple sum
 -------------------------
 The triple sum, the transform's L2 energy and the squared potentials at
 atoms share one evaluation: the completed square of a measure at one
-(alpha, eps) is computed in one pass and kept, read-only, in that
-measure's cache, so each further functional at the same cutoff reads it.
+(alpha, eps) is computed in one pass and kept, read-only, with that
+measure's weights (``DiscreteMeasure._squares``), so each further
+functional at the same cutoff reads it.
 The squared potential at atom m is gram_m + X_m.  The center-leg part
 gram_m sums w_j w_k K_mj . K_mk over ordered pairs of distinct atoms that
 m sees beyond eps and that are themselves more than eps apart: the
@@ -36,14 +38,12 @@ weighted dot product of the kernel rows of i and j.
 Symmetric measures
 ------------------
 Every row functional reads one row per symmetry orbit.  A corner-Cantor
-measure carries its atoms' orbits under the cube's symmetries and the
-group element that maps each orbit's representative onto each atom
+measure carries its atoms' orbits under the cube's symmetries
 (``measures._orbit_rows``); when the weights are constant on the orbits,
-so is every per-atom scalar here (squared potentials, Wolff potentials,
-the maximal function), and the transform is equivariant, R(g x) = g R(x).
-The row passes therefore run over the R representatives only, and each
-atom takes its representative's value, or its image under the group
-element for R.  T1 and T3 sum over every row: weighting each
+so is every per-atom scalar here (squared potentials, |R|^2, Wolff
+potentials, the maximal function).  The row passes therefore run over
+the R representatives only, and each atom takes its representative's
+value.  T1 and T3 sum over every row: weighting each
 representative row by its orbit's mass gives their orbit sums, and the
 orbit mean is the value at the representative (``_completed_square``).
 The completed square costs O(R (N + P)) in one pass over R kernel rows;
@@ -298,26 +298,40 @@ def riesz_transform_at_atoms(
 ) -> np.ndarray:
     """Truncated transform evaluated at every atom site, shape (N, n).
 
-    Read from the measure's completed square at (alpha, eps) when one has
-    been computed; otherwise a plain pass over the representatives of the
-    symmetry orbits that enumerates no close pairs and caches nothing.
-    The transform is equivariant, R(g x) = g R(x), so each atom's value is
-    its representative's under the atom's group element.
+    A plain pass over every row, O(N^2) with orbits or not, that
+    enumerates no close pairs and caches nothing.
     """
     if eps <= 0.0:
         raise DomainError(f"eps must be positive, got {eps}")
     _check_dims(mu, params)
-    square = mu._cache.get(("square", params.alpha, eps))
-    if square is not None:
-        return square.r.copy()
-    orbits = _orbit_rows(mu)
-    return orbits.vectors(_transform_at_atoms(mu, params.alpha, eps, orbits.reps)[0])
+    return _transform_at_atoms(mu, params.alpha, eps, np.arange(mu.size))[0]
+
+
+def _transform_sq(mu: DiscreteMeasure, alpha: float, eps: float,
+                  rows: np.ndarray) -> np.ndarray:
+    """|R_m|^2 of the truncated transform at the atoms ``rows``."""
+    r = _transform_at_atoms(mu, alpha, eps, rows)[0]
+    return np.einsum("mn,mn->m", r, r)
 
 
 def riesz_l2_energy(mu: DiscreteMeasure, params: KernelParams, eps: float) -> float:
-    """sum_i w_i |R_eps(mu)(x_i)|^2 over atom sites."""
-    r = riesz_transform_at_atoms(mu, params, eps)
-    return float(np.dot(mu.weights, np.einsum("in,in->i", r, r)))
+    """sum_i w_i |R_eps(mu)(x_i)|^2 over atom sites.
+
+    Read from the measure's completed square at (alpha, eps) when one has
+    been computed; otherwise a plain pass over the representatives of the
+    symmetry orbits (``_orbit_rows``) that enumerates no close pairs and
+    caches nothing.
+    """
+    if eps <= 0.0:
+        raise DomainError(f"eps must be positive, got {eps}")
+    _check_dims(mu, params)
+    square = mu._squares.get((params.alpha, eps))
+    if square is None:
+        orbits = _orbit_rows(mu)
+        sq = _transform_sq(mu, params.alpha, eps, orbits.reps)[orbits.index]
+    else:
+        sq = square.sq
+    return float(np.dot(mu.weights, sq))
 
 
 # ---------------------------------------------------------------------------
@@ -362,13 +376,14 @@ def symmetrization_energy(
 class _Square(NamedTuple):
     """The completed square of one measure at one (alpha, eps), read-only.
 
-    ``r`` is the truncated transform at every atom, ``gram`` the center-leg
-    sums and ``cross`` the cross part of the squared potentials, both
-    certified (see ``_completed_square``).  All three are computed at the
-    orbit representatives and spread to the atoms.
+    ``sq`` is |R|^2, the squared truncated transform, at every atom,
+    ``gram`` the center-leg sums and ``cross`` the cross part of the
+    squared potentials, both certified (see ``_completed_square``).  All
+    three are constant on the orbits: they are computed at the orbit
+    representatives and spread to the atoms.
     """
 
-    r: np.ndarray
+    sq: np.ndarray
     gram: np.ndarray
     cross: np.ndarray
 
@@ -377,17 +392,17 @@ def _completed_square(mu: DiscreteMeasure, alpha: float, eps: float) -> _Square:
     """Certified completed-square sums per center.
 
     Computed once per measure and (alpha, eps) and kept in the measure's
-    own cache, which ``with_weights`` does not carry over: the atoms and
+    own ``_squares``, which no other weight vector shares: the atoms and
     weights are read-only, so the entry cannot go stale.  The sums are
     formed at the orbit representatives (``_orbit_rows``; every atom
-    without orbits) and spread to the atoms: gram and cross are constant
-    on an orbit, and r maps by the atom's group element.  A representative
-    whose total is at most ``CERTIFICATE_TAU`` times the absolute terms it
-    was summed from, and every representative when close pairs are dense
-    (P > N^2 / 4), is recomputed directly at the atom while the entry is
-    built, so each such center costs one O(S^2) direct pass per entry.
-    When close pairs are dense, ``r`` is the plain transform pass and
-    memory stays O(N^2).  gram_m = |R_m|^2 - diag_m - close_m is the
+    without orbits) and spread to the atoms, on whose orbits sq, gram and
+    cross are constant.  A representative whose total is at most
+    ``CERTIFICATE_TAU`` times the absolute terms it was summed from, and
+    every representative when close pairs are dense (P > N^2 / 4), is
+    recomputed directly at the atom while the entry is built, so each such
+    center costs one O(S^2) direct pass per entry.
+    When close pairs are dense, ``sq`` is from the plain transform pass
+    and memory stays O(N^2).  gram_m = |R_m|^2 - diag_m - close_m is the
     center-leg sum.
     Splitting v_ij = 1 - [i = j] - [(i, j) close] in the cross part of the
     squared potential gives x_i = 2 (T1_i - T2_i - T3_i) with
@@ -412,10 +427,10 @@ def _completed_square(mu: DiscreteMeasure, alpha: float, eps: float) -> _Square:
     certificate's magnitudes add up the absolute terms of every part that
     was summed, each close-pair term with its exact |dot|.
     """
-    key = ("square", alpha, eps)
-    if key not in mu._cache:
-        mu._cache[key] = _build_square(mu, alpha, eps)
-    return mu._cache[key]
+    key = (alpha, eps)
+    if key not in mu._squares:
+        mu._squares[key] = _build_square(mu, alpha, eps)
+    return mu._squares[key]
 
 
 def _build_square(mu: DiscreteMeasure, alpha: float, eps: float) -> _Square:
@@ -423,17 +438,17 @@ def _build_square(mu: DiscreteMeasure, alpha: float, eps: float) -> _Square:
     reps = orbits.reps
     pairs = _close_pairs(mu, eps)
     if len(pairs) > mu.size * mu.size // 4:
-        r = _transform_at_atoms(mu, alpha, eps, reps)[0]
+        sq = _transform_sq(mu, alpha, eps, reps)
         gram, cross = np.zeros(len(reps)), np.zeros(len(reps))
         redo = np.arange(len(reps))
     else:
-        r, gram, cross, magnitude = _square_sums(mu, alpha, eps, pairs, orbits)
+        sq, gram, cross, magnitude = _square_sums(mu, alpha, eps, pairs, orbits)
         redo = np.flatnonzero(np.abs(gram + cross) <= CERTIFICATE_TAU * magnitude)
     d = mu.distance_matrix()
     for m in redo:
         legs = _kernel_rows(mu, alpha, eps, reps[m : m + 1])[0]
         gram[m], cross[m] = _direct_potential_sq(mu, legs, d[reps[m]], alpha, eps)
-    square = _Square(orbits.vectors(r), gram[orbits.index], cross[orbits.index])
+    square = _Square(sq[orbits.index], gram[orbits.index], cross[orbits.index])
     for array in square:
         array.setflags(write=False)
     return square
@@ -441,8 +456,8 @@ def _build_square(mu: DiscreteMeasure, alpha: float, eps: float) -> _Square:
 
 def _square_sums(mu: DiscreteMeasure, alpha: float, eps: float, pairs: np.ndarray,
                  orbits) -> tuple:
-    """(r, gram, cross, magnitude) of the completed square at the orbit
-    representatives, uncertified; r is (R, n)."""
+    """(sq, gram, cross, magnitude) of the completed square at the orbit
+    representatives, uncertified."""
     reps = orbits.reps
     a, b = pairs.T
     d = mu.distance_matrix()
@@ -470,7 +485,7 @@ def _square_sums(mu: DiscreteMeasure, alpha: float, eps: float, pairs: np.ndarra
     t3 = orbits.mean(np.bincount(a, w[b] * s, mu.size) + np.bincount(b, w[a] * s, mu.size))
     t3_abs = orbits.mean(np.bincount(a, w[b] * s_abs, mu.size)
                          + np.bincount(b, w[a] * s_abs, mu.size))
-    return (r, sq - diag - close, 2.0 * (t1 - t2 - t3),
+    return (sq, sq - diag - close, 2.0 * (t1 - t2 - t3),
             sq + diag + close_abs + 2.0 * (t1_abs + t2 + t3_abs))
 
 
@@ -652,7 +667,7 @@ def maximal_potential_energy(
 
 
 # ---------------------------------------------------------------------------
-# Ball-mass double sum (independent third estimator)
+# Ball-mass double sum
 # ---------------------------------------------------------------------------
 
 
@@ -662,7 +677,16 @@ def ball_mass_double_sum(
     """sum over ordered pairs i != j, d_ij > eps of w_i w_j mu(B(x_i, d_ij)) / d_ij^(2a).
 
     Closed-ball masses; comparable (two-sided, constants depending on alpha)
-    to the triple-sum symmetrization energy.
+    to the triple-sum symmetrization energy.  Summed by parts over each
+    row's distinct distances it is, exactly and whatever ``window.r_out``,
+
+        alpha W - 1/2 eps^(-2a) sum_i w_i mu(B(x_i, eps))^2
+                + 1/2 sum_i w_i sum_g m_ig^2 r_ig^(-2a),
+
+    with W the matched Wolff energy at r_out = None (p = 3/2, whose pieces
+    have beta = 2a), g running over row i's distinct distances r_ig > eps
+    and m_ig the mass at that distance: a Wolff energy up to a boundary
+    term and a tie term.
     """
     _require_alpha_in(params, params.n)
     return float(np.dot(mu.weights, _ball_mass_rows(mu, params, window)))

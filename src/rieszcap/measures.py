@@ -31,18 +31,6 @@ DEFAULT_ATOM_CAP = 65536
 # exactly on the boundary up to one ulp.
 _GAP_RTOL = 1e-12
 
-# Cache entries that depend on the atoms only, shared by every weight vector.
-# "orbits" holds each atom's symmetry-orbit id, the smallest atom index in
-# its orbit, and "group" the signed coordinate permutation that maps the
-# orbit's representative onto the atom (``_cantor_orbits``); only
-# ``cantor_measure`` and a measure file that it reproduces set them, and a
-# measure without them has singleton orbits.  Functionals of weights that
-# are constant on the orbits read one row per orbit (``_orbit_rows``).  The
-# distance matrix stays whole and the representatives slice it; the row
-# order holds the representatives' rows only, and "full_order", every row's,
-# is built for the ``refine`` descent alone (``_row_order``).
-_GEOMETRY = ("min_gap", "dist", "order", "full_order", "diameter", "orbits", "group")
-
 # Relative band around a block's extreme squared distance that holds its
 # extreme distance as norm computes it: the two summation orders differ by
 # a few ulps.  So is every off-diagonal entry of the distance matrix above
@@ -74,15 +62,17 @@ class DiscreteMeasure:
     atoms: np.ndarray
     weights: np.ndarray
     delta: float = None  # type: ignore[assignment]
-    # The support's geometry (``_GEOMETRY``), filled lazily; ``with_weights``
-    # seeds the new measure's cache with it.  The distance matrix takes
-    # 8 N^2 bytes and the intp row order, which only unequal weights and
-    # the Wolff optimizer build, 8 R N bytes at the R orbit representatives
-    # (``_row_order``); ball-profile consumers add one sorted row block
-    # (``_sorted_rows``) on top.  Entries that depend on the weights, such
-    # as the completed square per (alpha, eps), live only in this
-    # instance's cache.
+    # The support's geometry, filled lazily and shared by reference with
+    # every measure that ``with_weights`` makes: "min_gap", "diameter",
+    # "dist" (8 N^2 bytes), the intp row orders "order" (8 R N bytes at the
+    # R orbit representatives) and "full_order" (``_row_order``), and
+    # "orbits", each atom's symmetry-orbit id (``_cantor_orbits``), which
+    # only ``cantor_measure`` and a measure file that it reproduces set;
+    # without it the orbits are singletons.
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # The completed squares of these weights, one per (alpha, eps)
+    # (``energies._completed_square``), kept by this measure alone.
+    _squares: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         atoms = np.atleast_2d(np.asarray(self.atoms, dtype=float))
@@ -189,21 +179,20 @@ class DiscreteMeasure:
                                self._orbit_cache())
 
     def _orbit_cache(self) -> dict:
-        return {k: self._cache[k] for k in ("orbits", "group") if k in self._cache}
+        return {"orbits": self._cache["orbits"]} if "orbits" in self._cache else {}
 
     def with_weights(self, weights) -> "DiscreteMeasure":
         """Same support with new weights.
 
-        Weights equal to the measure's own return the measure itself, with
-        its cache.  Otherwise the support's cached geometry (min gap,
-        distance matrix, row order, diameter, symmetry orbits) carries over
-        to the new measure in a cache of its own; the weights are checked as
-        in the constructor.
+        Weights equal to the measure's own return the measure itself.
+        Otherwise the new measure shares the support's geometry (``_cache``)
+        by reference, so what either builds serves both, and keeps
+        completed squares of its own; the weights are checked as in the
+        constructor.
         """
         if np.array_equal(np.asarray(weights, dtype=float).reshape(-1), self.weights):
             return self
-        geometry = {k: self._cache[k] for k in _GEOMETRY if k in self._cache}
-        return DiscreteMeasure(self.atoms, weights, self.delta, geometry)
+        return DiscreteMeasure(self.atoms, weights, self.delta, self._cache)
 
     def normalized(self) -> "DiscreteMeasure":
         """Rescale weights to total mass one."""
@@ -269,14 +258,14 @@ def _extreme_pair_distance(atoms: np.ndarray, largest: bool = False) -> float:
 
 
 def merge_measures(a: DiscreteMeasure, b: DiscreteMeasure) -> DiscreteMeasure:
-    """Union of two atom clouds; delta shrinks to stay below the new min gap."""
+    """Union of two atom clouds; delta shrinks to stay below the new min gap,
+    which is measured once."""
     if a.n != b.n:
         raise MeasureFormatError(f"dimension mismatch: {a.n} vs {b.n}")
     atoms = np.vstack([a.atoms, b.atoms])
     weights = np.concatenate([a.weights, b.weights])
     gap = _extreme_pair_distance(atoms)
-    delta = min(a.delta, b.delta, gap if math.isfinite(gap) else min(a.delta, b.delta))
-    return DiscreteMeasure(atoms, weights, delta)
+    return DiscreteMeasure(atoms, weights, min(a.delta, b.delta, gap), {"min_gap": gap})
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +350,7 @@ def cantor_measure(spec: CantorSpec) -> DiscreteMeasure:
     """
     weights = np.full(spec.atom_count, 1.0 / spec.atom_count)
     return DiscreteMeasure(_cantor_atoms(spec), weights, spec.cell_side,
-                           _cantor_geometry(spec))
+                           {"orbits": _cantor_orbits(spec.n, spec.depth)})
 
 
 def _cantor_atoms(spec: CantorSpec) -> np.ndarray:
@@ -377,14 +366,8 @@ def _cantor_atoms(spec: CantorSpec) -> np.ndarray:
     return spec.base * centers + np.asarray(spec.offset)
 
 
-def _cantor_geometry(spec: CantorSpec) -> dict:
-    """The cache entries of the spec's symmetry orbits (``_GEOMETRY``)."""
-    ids, axes, sign = _cantor_orbits(spec.n, spec.depth)
-    return {"orbits": ids, "group": (axes, sign)}
-
-
-def _cantor_orbits(n: int, depth: int) -> tuple:
-    """Orbits of the depth-m Cantor atoms under the symmetries of the cube.
+def _cantor_orbits(n: int, depth: int) -> np.ndarray:
+    """Orbit ids of the depth-m Cantor atoms under the symmetries of the cube.
 
     Atom k has m base-2^n corner digits, the first level most significant,
     and bit j of a digit (coordinate 0 most significant) is the corner's
@@ -395,31 +378,18 @@ def _cantor_orbits(n: int, depth: int) -> tuple:
     is the smallest index in the orbit: complementing every column whose
     first bit is 1 and sorting the columns ascending (coordinate 0 first)
     minimizes the index, whose bits interleave the columns level by level.
-
-    Returns (ids, axes, sign).  The group element that maps the orbit's
-    representative onto atom k undoes both steps: column j of atom k is
-    column axes[k, j] of the representative, complemented where
-    sign[k, j] = -1.  On coordinates about the cube center, and on every
-    vector field equivariant under the symmetries (differences of atoms,
-    the Riesz transform), it reads v_k[j] = sign[k, j] * v_rep[axes[k, j]].
     """
     index = np.arange((2**n) ** depth)
     shifts = np.arange(n * depth - 1, -1, -1)
     columns = ((index[:, None] >> shifts) & 1).reshape(len(index), depth, n)
     # The first-level bits (none at depth 0) mark the complemented columns.
-    flip = columns[:, :1, :].any(axis=1)
-    columns ^= flip[:, None, :]
+    columns ^= columns[:, :1, :].any(axis=1)[:, None, :]
     places = np.arange(depth - 1, -1, -1)
-    values = np.einsum("kln,l->kn", columns, 1 << places)
-    rank = np.argsort(values, axis=1, kind="stable")
-    values = np.take_along_axis(values, rank, axis=1)
+    values = np.sort(np.einsum("kln,l->kn", columns, 1 << places), axis=1)
     bits = (values[:, None, :] >> places[None, :, None]) & 1
     ids = bits.reshape(len(index), n * depth) @ (1 << shifts)
-    axes = np.argsort(rank, axis=1)
-    sign = np.where(flip, -1.0, 1.0)
-    for array in (ids, axes, sign):
-        array.setflags(write=False)
-    return ids, axes, sign
+    ids.setflags(write=False)
+    return ids
 
 
 def _orbits(mu: DiscreteMeasure) -> np.ndarray:
@@ -431,21 +401,12 @@ class _OrbitRows(NamedTuple):
     """The rows a functional of orbit-invariant weights reads.
 
     ``reps`` are the representatives' atom indices (ascending), ``index``
-    each atom's position in ``reps`` and ``counts`` the orbit sizes;
-    ``axes`` and ``sign`` give each atom's group element (see
-    ``_cantor_orbits``).
+    each atom's position in ``reps`` and ``counts`` the orbit sizes.
     """
 
     reps: np.ndarray
     index: np.ndarray
     counts: np.ndarray
-    axes: np.ndarray
-    sign: np.ndarray
-
-    def vectors(self, at_reps: np.ndarray) -> np.ndarray:
-        """An equivariant vector field at every atom from its (R, n) values
-        at the representatives: v_k[j] = sign[k, j] * v_rep(k)[axes[k, j]]."""
-        return self.sign * np.take_along_axis(at_reps[self.index], self.axes, axis=1)
 
     def mean(self, at_atoms: np.ndarray) -> np.ndarray:
         """Orbit means of a per-atom scalar, at the representatives."""
@@ -453,23 +414,18 @@ class _OrbitRows(NamedTuple):
 
 
 def _symmetry_orbits(mu: DiscreteMeasure) -> _OrbitRows:
-    """Representatives, orbit index, orbit sizes and group elements of the
-    support's symmetry orbits, whatever the weights."""
+    """Representatives, orbit index and orbit sizes of the support's
+    symmetry orbits, whatever the weights."""
     if "orbits" not in mu._cache:
         return _singleton_orbits(mu)
-    reps, index, counts = np.unique(mu._cache["orbits"], return_inverse=True,
-                                    return_counts=True)
-    if len(reps) == mu.size:
-        return _singleton_orbits(mu)
-    return _OrbitRows(reps, index, counts, *mu._cache["group"])
+    return _OrbitRows(*np.unique(mu._cache["orbits"], return_inverse=True,
+                                 return_counts=True))
 
 
 def _singleton_orbits(mu: DiscreteMeasure) -> _OrbitRows:
-    """Every atom its own representative under the identity."""
+    """Every atom its own representative."""
     every = np.arange(mu.size)
-    axes = np.broadcast_to(np.arange(mu.n), (mu.size, mu.n))
-    return _OrbitRows(every, every, np.ones(mu.size, dtype=int), axes,
-                      np.ones((mu.size, mu.n)))
+    return _OrbitRows(every, every, np.ones(mu.size, dtype=int))
 
 
 def _orbit_rows(mu: DiscreteMeasure) -> _OrbitRows:
@@ -479,8 +435,8 @@ def _orbit_rows(mu: DiscreteMeasure) -> _OrbitRows:
     are constant on them, bitwise (uniform weights and every Wolff
     optimizer iterate are); then every functional of the measure is
     constant on the orbits too, and a per-atom scalar is its value at the
-    representative.  Otherwise every atom is its own representative under
-    the identity, so R = N and the same code reads every row.
+    representative.  Otherwise every atom is its own representative, so
+    R = N and the same code reads every row.
     """
     orbits = _symmetry_orbits(mu)
     if len(orbits.reps) == mu.size or np.array_equal(
@@ -719,7 +675,7 @@ def _file_orbits(key, atoms: np.ndarray) -> dict:
     built = _cantor_atoms(spec)
     if built.shape != atoms.shape or built.tobytes() != atoms.tobytes():
         return {}
-    return _cantor_geometry(spec)
+    return {"orbits": _cantor_orbits(spec.n, spec.depth)}
 
 
 def measure_from_csv(text: str) -> DiscreteMeasure:

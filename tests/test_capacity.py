@@ -481,6 +481,23 @@ class TestComparabilityAndMaps:
         res = bilipschitz_experiment(mu, "identity", 0.5, TruncationWindow(mu.delta))
         assert res.ratio == 1.0
 
+    @pytest.mark.parametrize("map_id", ["identity", "shear_sine"])
+    def test_bilipschitz_measures_one_min_gap(self, monkeypatch, map_id):
+        # The support's gap is known and carried; only the mapped atoms are
+        # measured, once.
+        mu = cantor_measure(cantor_spec_for_dimension(2, 0.7, 2))
+        calls = []
+        original = measures._extreme_pair_distance
+
+        def counted(atoms, largest=False):
+            calls.append(largest)
+            return original(atoms, largest)
+
+        for module in (measures, capacity):
+            monkeypatch.setattr(module, "_extreme_pair_distance", counted)
+        bilipschitz_experiment(mu, map_id, 0.5, TruncationWindow(mu.delta))
+        assert calls == [False]
+
     def test_pure_dilation_matches_homogeneity(self):
         mu = cantor_measure(cantor_spec_for_dimension(2, 0.7, 2))
         res = bilipschitz_experiment(mu, "dilation_2", 0.5, TruncationWindow(mu.delta))

@@ -530,8 +530,8 @@ class TestSquareCache:
         window = TruncationWindow(eps)
         symmetrization_energy(mu, P2, window)
         nu = mu.with_weights(rng.uniform(0.3, 1.7, mu.size))
-        assert ("square", 0.5, eps) in mu._cache
-        assert ("square", 0.5, eps) not in nu._cache
+        assert (0.5, eps) in mu._squares
+        assert (0.5, eps) not in nu._squares
         energy = symmetrization_energy(nu, P2, window)
         assert energy == symmetrization_energy(_fresh(nu), P2, window)
         assert np.array_equal(symmetrization_potentials_sq_at_atoms(nu, P2, window),
@@ -543,7 +543,7 @@ class TestSquareCache:
         for eps in (0.05, 0.2, 0.6):
             riesz_l2_energy(mu, P2, eps)
         assert calls == {"_close_pairs": 0}
-        assert not any(isinstance(key, tuple) for key in mu._cache)
+        assert not mu._squares
 
 
 _CAPPED_RUN = """
@@ -617,6 +617,35 @@ class TestCombinedEnergy:
         )
 
 
+def _double_sum_by_parts(mu, alpha, eps):
+    """alpha W - 1/2 eps^(-2a) sum_i w_i mu(B(x_i, eps))^2
+    + 1/2 sum_i w_i sum_g m_ig^2 r_ig^(-2a): W is the matched Wolff energy
+    at r_out = None, g runs over row i's distinct distances r_ig > eps and
+    m_ig is the mass at that distance."""
+    w = mu.weights
+    exps = energies.WolffExponents.matched(KernelParams(alpha, mu.n))
+    wolff = energies.wolff_energy(mu, exps, TruncationWindow(eps))
+    boundary = ties = 0.0
+    for i, row in enumerate(mu.distance_matrix()):
+        radii, group = np.unique(row, return_inverse=True)
+        mass = np.bincount(group, w)
+        far = radii > eps
+        boundary += w[i] * w[row <= eps].sum() ** 2
+        ties += w[i] * np.sum(mass[far] ** 2 * radii[far] ** (-2.0 * alpha))
+    return alpha * wolff - 0.5 * eps ** (-2.0 * alpha) * boundary + 0.5 * ties
+
+
+# Cantor supports n = 1, 2, 3, the tie-heavy ratio-0.5 Cantor and a random
+# cloud of 200 atoms.
+BY_PARTS_SUPPORTS = {
+    "cantor-n1": lambda rng: cantor_measure(cantor_spec_for_dimension(1, 0.6, 5)),
+    "cantor-n2": lambda rng: cantor_measure(cantor_spec_for_dimension(2, 0.75, 3)),
+    "cantor-n3": lambda rng: cantor_measure(cantor_spec_for_dimension(3, 1.5, 2)),
+    "cantor-ratio-0.5": lambda rng: cantor_measure(CantorSpec(n=2, ratio=0.5, depth=3)),
+    "random-200": lambda rng: make_random_measure(rng, 200, min_gap=0.002),
+}
+
+
 class TestDoubleSum:
     def test_two_atoms_exact(self):
         a, b, d = 0.7, 1.3, 0.8
@@ -643,6 +672,16 @@ class TestDoubleSum:
             got = ball_mass_double_sum(mu, P2, TruncationWindow(eps))
             assert got == pytest.approx(naive_ball_mass_double_sum(mu, 0.5, eps), rel=1e-12)
 
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("support", sorted(BY_PARTS_SUPPORTS))
+    def test_wolff_energy_plus_boundary_and_tie_terms(self, rng, support, alpha):
+        mu = BY_PARTS_SUPPORTS[support](rng)
+        params = KernelParams(alpha, mu.n)
+        for factor in (1.0, 2.5, 7.0):
+            # The double sum ignores r_out.
+            window = TruncationWindow(factor * mu.delta, 100.0)
+            assert ball_mass_double_sum(mu, params, window) == pytest.approx(
+                _double_sum_by_parts(mu, alpha, window.eps), rel=1e-12)
 
     @pytest.mark.xfail(strict=True, reason=(
         "closed-ball tie groups are split by exact float equality, so distances "
@@ -717,7 +756,7 @@ class TestOrbitReduction:
         mu = cantor_measure(cantor_spec_for_dimension(3, 1.5, 2))
         orbits = measures._orbit_rows(mu)
         assert len(orbits.reps) < mu.size
-        # R at every atom is its representative's under the group element.
+        # The every-row transform is the pointwise transform at each atom.
         r = riesz_transform_at_atoms(mu, KernelParams(0.5, 3), 2.0 * mu.delta)
         direct = np.array([truncated_riesz_transform(mu, x, KernelParams(0.5, 3), 2.0 * mu.delta)
                            for x in mu.atoms])

@@ -100,9 +100,19 @@ class TestDiscreteMeasure:
         assert nu.min_gap == mu.min_gap and nu.delta == mu.delta
         assert nu.diameter == diameter
         assert np.array_equal(nu.weights, w)
-        assert nu._cache is not mu._cache
-        nu._cache["scratch"] = 1.0
-        assert "scratch" not in mu._cache
+        # One geometry for the support; completed squares per measure.
+        assert nu._cache is mu._cache
+        assert nu._squares is not mu._squares
+
+    def test_geometry_built_on_a_reweighted_measure_serves_the_original(self, rng):
+        mu = make_random_measure(rng, 10)
+        nu = mu.with_weights(rng.uniform(0.1, 1.0, mu.size))
+        d = nu.distance_matrix()
+        order = _row_order(nu)
+        diameter = nu.diameter
+        assert mu.distance_matrix() is d
+        assert _row_order(mu) is order
+        assert mu._cache["diameter"] == diameter
 
     def test_with_weights_of_its_own_weights_is_the_measure(self, rng):
         mu = make_random_measure(rng, 10)
@@ -308,26 +318,6 @@ class TestCantorOrbits:
             assert miss.max() <= 1e-12
             assert np.array_equal(ids[match], ids)
 
-    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
-    @pytest.mark.parametrize("family", ORBIT_FAMILIES, ids=["n1", "n2", "n3"])
-    def test_group_elements_map_representatives_onto_atoms(self, family, depth):
-        n, dim = family
-        orbits = measures._orbit_rows(cantor_measure(cantor_spec_for_dimension(n, dim, depth)))
-        assert np.array_equal(orbits.axes[orbits.reps], np.broadcast_to(np.arange(n), (len(orbits.reps), n)))
-        assert np.all(orbits.sign[orbits.reps] == 1.0)
-        # Ratio 1/4 and the unit cube: every coordinate about the center is
-        # dyadic, so the image of the representative is the atom exactly.
-        mu = cantor_measure(cantor_spec_for_dimension(n, n / 2, depth))
-        orbits = measures._orbit_rows(mu)
-        y = mu.atoms - 0.5
-        assert np.array_equal(orbits.vectors(y[orbits.reps]), y)
-        # Any other ratio, base and offset: exactly up to rounding.
-        spec = cantor_spec_for_dimension(n, dim, depth, base=1.7, offset=np.linspace(-0.4, 0.9, n))
-        mu = cantor_measure(spec)
-        y = mu.atoms - (0.5 * spec.base + np.asarray(spec.offset))
-        np.testing.assert_allclose(measures._orbit_rows(mu).vectors(y[orbits.reps]), y,
-                                   rtol=0.0, atol=1e-15 * spec.base)
-
     def test_weights_off_the_orbits_give_singleton_rows(self, rng):
         mu = cantor_measure(cantor_spec_for_dimension(2, 0.75, 2))
         assert len(measures._orbit_rows(mu).reps) == 3
@@ -337,7 +327,6 @@ class TestCantorOrbits:
             orbits = measures._orbit_rows(nu)
             assert np.array_equal(orbits.reps, np.arange(mu.size))
             assert np.array_equal(orbits.index, np.arange(mu.size))
-            assert np.array_equal(orbits.vectors(mu.atoms), mu.atoms)
 
     def test_other_measures_have_singleton_orbits(self, monkeypatch):
         mu = cantor_measure(cantor_spec_for_dimension(2, 0.75, 2))
@@ -643,6 +632,23 @@ class TestSerialization:
 
 
 class TestMerge:
+    def test_union_measures_its_min_gap_once(self, monkeypatch, rng):
+        a, b = make_random_measure(rng, 12), make_random_measure(rng, 9)
+        calls = []
+        original = measures._extreme_pair_distance
+
+        def counted(atoms, largest=False):
+            calls.append(largest)
+            return original(atoms, largest)
+
+        monkeypatch.setattr(measures, "_extreme_pair_distance", counted)
+        u = merge_measures(a, b)
+        assert calls == [False]
+        monkeypatch.undo()
+        fresh = DiscreteMeasure(u.atoms, u.weights)
+        assert u.min_gap == fresh.min_gap
+        assert u.delta == min(a.delta, b.delta, fresh.min_gap)
+
     def test_union_keeps_mass_and_tightens_delta(self):
         a = DiscreteMeasure([[0.0], [1.0]], [1.0, 1.0], delta=1.0)
         b = DiscreteMeasure([[0.3], [2.0]], [1.0, 1.0], delta=1.0)
