@@ -44,6 +44,7 @@ from .errors import (
 from .kernels import KernelParams
 from .measures import (
     DiscreteMeasure,
+    _distance_rows,
     _extreme_pair_distance,
     _maximal_rows,
     _row_order,
@@ -327,9 +328,14 @@ def _refine_combined(support, params, window, w0, cfg):
     25 steps, fewer when ``cfg`` caps lower.
 
     The iterates' weights are not constant on the symmetry orbits, so each
-    step reads every row; the support's order of every row is built once
-    and every iterate shares it.
+    step reads every row; the support's distance matrix, kept as "dist"
+    (``measures._distance_rows``), and its order of every row are built
+    once and every iterate shares them.
     """
+    if "dist" not in support._cache:
+        dist = support.distance_matrix()
+        dist.setflags(write=False)
+        support._cache["dist"] = dist
     _row_order(support, every=True)
 
     class _Objective:
@@ -373,7 +379,7 @@ def _combined_subgradient(mu, params, window) -> tuple:
     root = np.sqrt(pp)
     energy = float(np.dot(w, m_vals + root))
     # dM_i/dw_m = [d_im <= r*_i] / r*_i^alpha at the attaining radius.
-    ind = mu.distance_matrix() <= r_star[:, None]
+    ind = _distance_rows(mu, slice(None)) <= r_star[:, None]
     grad_m_term = m_vals + (w * (1.0 / r_star**alpha)) @ ind
     u = np.where(root > 0.0, 0.5 * w / np.maximum(root, 1e-300), 0.0)
     return energy, grad_m_term + root + 2.0 * _pp_polarized(mu, params, window, pp, u)

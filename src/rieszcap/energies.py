@@ -60,8 +60,9 @@ term among them), both parts are recomputed directly from the masked Gram
 matrix and the cross field at that atom.  When close pairs are dense
 (P > N^2 / 4) every representative is computed that way, so memory stays
 O(N^2).  Either way the recomputed parts are what the cache keeps, so a
-center is recomputed at most once per measure and cutoff.  Beyond the
-distance matrix, every pass holds one row block at a time.
+center is recomputed at most once per measure and cutoff.  No N x N
+distance matrix is held: every pass builds the distance rows it reads
+(``measures._distance_rows``) and holds one row block at a time.
 """
 
 from __future__ import annotations
@@ -76,10 +77,14 @@ import numpy as np
 from .errors import DomainError, UnsupportedExponentError
 from .kernels import KernelParams, as_point
 from .measures import (
+    _DISTANCE_BLOCK_BYTES,
     _EXTREME_RTOL,
     DiscreteMeasure,
+    _check_bytes,
+    _distance_rows,
     _orbit_rows,
     _sorted_rows,
+    _squared_distances,
     ball_profile,
     maximal_at_atoms,
     maximal_function,
@@ -172,8 +177,8 @@ def _row_block(n_atoms: int, n_dim: int) -> int:
 
 def _block_rows(mu: DiscreteMeasure, rows: np.ndarray, sel: slice):
     """The atoms of block ``sel`` of the ascending row set ``rows``: the
-    slice itself when ``rows`` holds every atom, so the distance matrix's
-    blocks are read in place."""
+    slice itself when ``rows`` holds every atom, so no index array is
+    gathered."""
     return sel if len(rows) == mu.size else rows[sel]
 
 
@@ -181,7 +186,7 @@ def _kernel_rows(mu: DiscreteMeasure, alpha: float, eps: float, rows) -> np.ndar
     """K[m, j] = k_a(x_j - x_{rows[m]}) where d > eps, and zero where d <= eps."""
     x = mu.atoms
     diffs = x[None, :, :] - x[rows, None, :]
-    d = mu.distance_matrix()[rows]
+    d = _distance_rows(mu, rows)
     with np.errstate(divide="ignore"):
         scale = d ** (-(1.0 + alpha))
     scale[d <= eps] = 0.0
@@ -201,17 +206,23 @@ def _kernel_from_point(mu: DiscreteMeasure, x: np.ndarray, alpha: float):
 def _close_pairs(mu: DiscreteMeasure, eps: float) -> np.ndarray:
     """Unordered atom pairs (a, b), a < b, with 0 < distance <= eps.
 
-    Below the min gap's band (``measures._EXTREME_RTOL``) no entry of the
-    distance matrix can be at most eps, so there are none and the matrix
-    is not scanned.  From the band on, the mask of the matrix decides, so
-    a distance that ties eps is read as the matrix rounds it.
+    Below the min gap's band (``measures._EXTREME_RTOL``) no distance
+    between two atoms can be at most eps, so there are none and no
+    distance row is built.  From the band on, the distance rows are
+    scanned in blocks, so a distance that ties eps is read as
+    ``measures._distance_rows`` rounds it; the pairs come in row-major
+    order.
     """
     if eps < mu.min_gap * (1.0 - _EXTREME_RTOL):
         return np.empty((0, 2), dtype=np.intp)
-    # One N x N temporary: the triangle mask of np.triu would add two more.
-    a, b = np.nonzero(mu.distance_matrix() <= eps)
-    upper = a < b
-    return np.stack([a[upper], b[upper]], axis=1)
+    parts = []
+    block = max(1, _DISTANCE_BLOCK_BYTES // (8 * mu.size))
+    for i0 in range(0, mu.size, block):
+        # The block's pairs a < b lie in the columns from i0 on.
+        a, b = np.nonzero(_distance_rows(mu, slice(i0, i0 + block), i0) <= eps)
+        upper = a < b
+        parts.append(np.stack([a[upper], b[upper]], axis=1) + i0)
+    return np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +259,10 @@ def _transform_at_atoms(mu: DiscreteMeasure, alpha: float, eps: float, rows: np.
     i, u_i = sum_m mass_m K[m, i] . R_m, each with the sum of the absolute
     values of its terms; otherwise these are zero.  A block's rows are
     sized from N + 2P, for its kernel rows and the two gathered legs, so
-    memory beyond the O(N^2) distance matrix is one row block at any P and
-    each kernel row is formed once.  close_abs and s_abs sum the exact
-    |dot_mp| that the certificate needs.  The energies pass the
-    representatives of the symmetry orbits (``_orbit_rows``), so the pass
-    costs O(R (N + P)).
+    memory is one row block at any P and each kernel row is formed once.
+    close_abs and s_abs sum the exact |dot_mp| that the certificate needs.
+    The energies pass the representatives of the symmetry orbits
+    (``_orbit_rows``), so the pass costs O(R (N + P)).
     """
     w = mu.weights
     a, b = np.empty((2, 0), dtype=int) if pairs is None else pairs.T
@@ -414,11 +424,11 @@ def _completed_square(mu: DiscreteMeasure, alpha: float, eps: float) -> _Square:
 
     R, the close-pair sums and the s_ab come from the kernel rows of one
     ``_transform_at_atoms`` pass over the representatives, and the powers
-    d^(-2 alpha) from row blocks of the distance matrix, so memory beyond
-    the O(N^2) distance matrix is one block and each kernel row is formed
-    once.  T1 and T3 sum over every row k.  Row k = g(r) of an orbit
-    O_r adds to the atom i the term that row r adds to g^-1(i), because
-    the symmetry g is an isometry that fixes the weights and
+    d^(-2 alpha) from blocks of their distance rows, so memory is one
+    block and each kernel row is formed once.  T1 and T3 sum over every
+    row k.  Row k = g(r) of an orbit O_r adds to the atom i the term that
+    row r adds to g^-1(i), because the symmetry g is an isometry that
+    fixes the weights and
     K_{g r, g j} = g K_rj; summed over an orbit O, which g maps onto
     itself, sum_{i in O} T1_i = sum_r |O_r| w_r sum_{j in O} K_rj . R_r.
     The pass therefore weights each representative row by its orbit mass
@@ -444,10 +454,10 @@ def _build_square(mu: DiscreteMeasure, alpha: float, eps: float) -> _Square:
     else:
         sq, gram, cross, magnitude = _square_sums(mu, alpha, eps, pairs, orbits)
         redo = np.flatnonzero(np.abs(gram + cross) <= CERTIFICATE_TAU * magnitude)
-    d = mu.distance_matrix()
     for m in redo:
         legs = _kernel_rows(mu, alpha, eps, reps[m : m + 1])[0]
-        gram[m], cross[m] = _direct_potential_sq(mu, legs, d[reps[m]], alpha, eps)
+        dist = _distance_rows(mu, reps[m : m + 1])[0]
+        gram[m], cross[m] = _direct_potential_sq(mu, legs, dist, alpha, eps)
     square = _Square(sq[orbits.index], gram[orbits.index], cross[orbits.index])
     for array in square:
         array.setflags(write=False)
@@ -460,7 +470,6 @@ def _square_sums(mu: DiscreteMeasure, alpha: float, eps: float, pairs: np.ndarra
     representatives, uncertified."""
     reps = orbits.reps
     a, b = pairs.T
-    d = mu.distance_matrix()
     w = mu.weights
     # Each representative row stands for its whole orbit.
     r, close, close_abs, s, s_abs, u, u_abs = _transform_at_atoms(
@@ -472,7 +481,7 @@ def _square_sums(mu: DiscreteMeasure, alpha: float, eps: float, pairs: np.ndarra
     block = _row_block(mu.size, mu.n)
     for i0 in range(0, len(reps), block):
         sel = slice(i0, i0 + block)
-        rows = d[_block_rows(mu, reps, sel)]
+        rows = _distance_rows(mu, _block_rows(mu, reps, sel))
         with np.errstate(divide="ignore"):
             inv = rows ** (-2.0 * alpha)
         inv[rows <= eps] = 0.0
@@ -587,17 +596,21 @@ def _direct_potential_sq(
 
     ``legs`` and ``dist`` hold k_a(x_j - x) and |x_j - x| for every atom;
     both parts are summed directly over the positively weighted atoms
-    farther than eps from x, in O(S^2) for S such atoms.
+    farther than eps from x, in O(S^2) for S such atoms.  Their S x S
+    distances, the Gram matrix and its masked copy are held at once.
     """
-    d = mu.distance_matrix()
     seen = np.flatnonzero((dist > eps) & (mu.weights > 0.0))
     legs, wv, x = legs[seen], mu.weights[seen], mu.atoms[seen]
-    sep = d[np.ix_(seen, seen)] > eps
+    _check_bytes(3 * 8 * len(seen) ** 2, "the direct squared potential")
+    # The same elementwise arithmetic as ``_distance_rows``, on the seen
+    # atoms alone.
+    d = np.sqrt(_squared_distances(x, x, np.empty((len(seen), len(seen)))))
+    sep = d > eps
     base = float(wv @ ((legs @ legs.T) * sep) @ wv)
     cross = 0.0
     block = _row_block(len(seen), mu.n)
     for k0 in range(0, len(seen), block):
-        dk = d[np.ix_(seen[k0 : k0 + block], seen)]
+        dk = d[k0 : k0 + block]
         with np.errstate(divide="ignore"):
             scale = np.where(sep[k0 : k0 + block], dk ** (-(1.0 + alpha)), 0.0)
         # field[k] = sum_j w_j [d_jk > eps] k_a(x_k - x_j)

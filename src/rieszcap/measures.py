@@ -39,9 +39,15 @@ _EXTREME_RTOL = 1e-12
 
 # Byte budget of one row block of squared distances (float64), and of one
 # sorted row block: small blocks keep the temporaries cache-sized and far
-# below the N x N distance matrix.
-_DISTANCE_BLOCK_BYTES = 2 << 20
+# below N x N.  Distance blocks of 256-512 KiB, whose few temporaries stay
+# in a 2 MiB L2 cache, built rows 1.3-2 times as fast as 2 MiB blocks on
+# a 2-core Xeon VM.
+_DISTANCE_BLOCK_BYTES = 512 << 10
 _SORTED_BLOCK_BYTES = 2 << 20
+
+# Share of the available memory (``_memory_budget``) that one large
+# allocation may take before it is refused with SizeCapError.
+_MEMORY_SHARE = 0.5
 
 
 @dataclass(frozen=True)
@@ -64,11 +70,14 @@ class DiscreteMeasure:
     delta: float = None  # type: ignore[assignment]
     # The support's geometry, filled lazily and shared by reference with
     # every measure that ``with_weights`` makes: "min_gap", "diameter",
-    # "dist" (8 N^2 bytes), the intp row orders "order" (8 R N bytes at the
-    # R orbit representatives) and "full_order" (``_row_order``), and
-    # "orbits", each atom's symmetry-orbit id (``_cantor_orbits``), which
-    # only ``cantor_measure`` and a measure file that it reproduces set;
-    # without it the orbits are singletons.
+    # the intp row orders "order" (8 R N bytes at the R orbit
+    # representatives) and "full_order" (``_row_order``), and "orbits",
+    # each atom's symmetry-orbit id (``_cantor_orbits``), which only
+    # ``cantor_measure`` and a measure file that it reproduces set; without
+    # it the orbits are singletons.  Distance rows are built on demand
+    # (``_distance_rows``), which keeps those of the orbit representatives
+    # as "rep_rows" (8 R N bytes); only ``capacity._refine_combined`` keeps
+    # the full matrix, as "dist" (8 N^2 bytes), for its iterates.
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
     # The completed squares of these weights, one per (alpha, eps)
     # (``energies._completed_square``), kept by this measure alone.
@@ -138,27 +147,13 @@ class DiscreteMeasure:
         return self._cache["diameter"]
 
     def distance_matrix(self) -> np.ndarray:
-        """Full (N, N) pairwise distance matrix, cached and read-only.
+        """Full (N, N) pairwise distance matrix, built afresh on each call.
 
-        Computed from explicit coordinate differences (never the Gram-matrix
-        shortcut): nearby atoms of deep Cantor measures sit 1e-10 apart on
-        O(1) coordinates, where the difference-of-squares form loses all
-        significant digits.  Rows are built in blocks, one coordinate at a
-        time (``_squared_distances``).
+        The rows of ``_distance_rows``, all of them: nothing is cached.  No
+        energy or optimizer path calls it; the oracles and the tests do.
         """
-        if "dist" not in self._cache:
-            x = self.atoms
-            m = x.shape[0]
-            d = np.empty((m, m))
-            block = max(1, _DISTANCE_BLOCK_BYTES // (8 * m))
-            for i0 in range(0, m, block):
-                rows = d[i0 : i0 + block]
-                _squared_distances(x[i0 : i0 + block], x, rows)
-                np.sqrt(rows, out=rows)
-            np.fill_diagonal(d, 0.0)
-            d.setflags(write=False)
-            self._cache["dist"] = d
-        return self._cache["dist"]
+        _check_bytes(8 * self.size * self.size, "the distance matrix")
+        return _distance_rows(self, slice(None))
 
     # -- derived measures ----------------------------------------------------
 
@@ -197,6 +192,78 @@ class DiscreteMeasure:
     def normalized(self) -> "DiscreteMeasure":
         """Rescale weights to total mass one."""
         return self.with_weights(self.weights / self.total_mass)
+
+
+def _distance_rows(mu: DiscreteMeasure, rows, first: int = 0) -> np.ndarray:
+    """Distances from the atoms ``rows`` (a slice or an index array) to
+    every atom from index ``first`` on, one row each.
+
+    Computed from explicit coordinate differences (never the Gram-matrix
+    shortcut): nearby atoms of deep Cantor measures sit 1e-10 apart on
+    O(1) coordinates, where the difference-of-squares form loses all
+    significant digits.  The rows are filled in blocks of
+    ``_DISTANCE_BLOCK_BYTES``, one coordinate at a time
+    (``_squared_distances``), then square-rooted.  Every entry is
+    elementwise arithmetic, so a row is the same bits whichever rows are
+    built with it, and an atom's distance to itself is exactly 0.  When the
+    support keeps the full matrix as "dist", its rows are sliced instead.
+    On a support with symmetry orbits, every functional of orbit-constant
+    weights reads the R representatives' rows, so these are built once
+    and kept as "rep_rows" (8 R N bytes, R < N): an index array of
+    representatives is gathered from them.
+    """
+    kept = mu._cache.get("dist")
+    if kept is not None:
+        return kept[rows, first:]
+    orbits = mu._cache.get("orbits")
+    # An orbit's id is its smallest atom, so its representative.
+    if (orbits is not None and first == 0 and isinstance(rows, np.ndarray)
+            and np.array_equal(orbits[rows], rows)):
+        if "rep_rows" not in mu._cache:
+            is_rep = orbits == np.arange(mu.size)
+            reps = np.flatnonzero(is_rep)
+            _check_bytes(8 * len(reps) * mu.size, "the representatives' distance rows")
+            at_reps = _built_rows(mu.atoms[reps], mu.atoms)
+            at_reps.setflags(write=False)
+            mu._cache["rep_rows"] = (np.cumsum(is_rep) - 1, at_reps)
+        position, at_reps = mu._cache["rep_rows"]
+        return at_reps[position[rows]]
+    return _built_rows(mu.atoms[rows], mu.atoms[first:])
+
+
+def _built_rows(sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Distances from each of ``sources`` to every one of ``targets``, in
+    row blocks of ``_DISTANCE_BLOCK_BYTES``."""
+    d = np.empty((len(sources), len(targets)))
+    block = max(1, _DISTANCE_BLOCK_BYTES // (8 * len(targets)))
+    for i0 in range(0, len(sources), block):
+        out = d[i0 : i0 + block]
+        _squared_distances(sources[i0 : i0 + block], targets, out)
+        np.sqrt(out, out=out)
+    return d
+
+
+def _memory_budget() -> float:
+    """Bytes one allocation may take: ``_MEMORY_SHARE`` of MemAvailable in
+    /proc/meminfo, or unbounded where that cannot be read."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return _MEMORY_SHARE * 1024.0 * int(line.split()[1])
+    except (OSError, ValueError):
+        pass
+    return math.inf
+
+
+def _check_bytes(nbytes: int, what: str) -> None:
+    """Refuse, before allocating, an array of ``nbytes`` above the budget."""
+    budget = _memory_budget()
+    if nbytes > budget:
+        raise SizeCapError(
+            f"{what} would take {nbytes / 2**20:.0f} MiB, above the memory "
+            f"budget of {budget / 2**20:.0f} MiB"
+        )
 
 
 def _squared_distances(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -509,22 +576,28 @@ def maximal_function(
 
 
 def _row_order(mu: DiscreteMeasure, every: bool = False) -> np.ndarray:
-    """Stable per-row order of the distance matrix, cached and read-only:
+    """Stable per-row order of the distance rows, cached and read-only:
     row r lists the atoms by distance from the r-th row's atom, ties in
     index order.
 
     The rows are the support's orbit representatives (``_symmetry_orbits``),
     an (R, N) array kept as "order", or with ``every`` all N atoms, kept
-    apart as "full_order".  Without orbits R = N and "order" is both.
+    apart as "full_order".  Without orbits R = N and "order" is both.  The
+    order is checked against the memory budget (``_check_bytes``) and
+    filled from blocks of distance rows, each argsorted on its own.
     """
     reps = _symmetry_orbits(mu).reps
     every = every and len(reps) < mu.size
     key = "full_order" if every else "order"
     if key not in mu._cache:
-        d = mu.distance_matrix()
-        if not every and len(reps) < mu.size:
-            d = d[reps]
-        order = np.argsort(d, axis=1, kind="stable")
+        if every:
+            reps = np.arange(mu.size)
+        _check_bytes(8 * len(reps) * mu.size, "the distance-row order")
+        order = np.empty((len(reps), mu.size), dtype=np.intp)
+        block = max(1, _SORTED_BLOCK_BYTES // (8 * mu.size))
+        for i0 in range(0, len(reps), block):
+            rows = _distance_rows(mu, reps[i0 : i0 + block])
+            order[i0 : i0 + block] = np.argsort(rows, axis=1, kind="stable")
         order.setflags(write=False)
         mu._cache[key] = order
     return mu._cache[key]
@@ -543,10 +616,10 @@ def _sorted_rows(mu: DiscreteMeasure, subset=None):
     argsorted on their own, and the order is not kept.  With an ascending
     index array ``subset`` of distinct atoms, only those rows are read and
     ``rows`` slices positions in ``subset``; a subset of every atom reads
-    the blocks in place.  Blocks hold whole rows, so a tie group never
+    every row.  Each block's distance rows are built on demand
+    (``_distance_rows``).  Blocks hold whole rows, so a tie group never
     straddles two blocks.
     """
-    d = mu.distance_matrix()
     w = mu.weights
     if subset is not None and len(subset) == mu.size:
         subset = None
@@ -562,7 +635,7 @@ def _sorted_rows(mu: DiscreteMeasure, subset=None):
     block = max(1, _SORTED_BLOCK_BYTES // (8 * mu.size))
     for i0 in range(0, count, block):
         rows = slice(i0, i0 + block)
-        dist = d[rows if subset is None else subset[rows]]
+        dist = _distance_rows(mu, rows if subset is None else subset[rows])
         if equal:
             sorted_d = np.sort(dist, axis=1)
             yield rows, np.broadcast_to(w[0], sorted_d.shape), sorted_d

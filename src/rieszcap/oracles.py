@@ -7,10 +7,11 @@ the fast paths would void the independence these anchors exist to provide.
 The one exception is the decomposition identity, which relates two
 production functionals through a residual that is enumerated here by loops.
 
-The eps tests between atoms read the measure's own distance matrix, so a
-distance that ties eps is decided on the same rounded value as in the
-vectorized routines; a Python sum of squares can differ from it in the
-last bit.
+The eps tests between atoms read the measure's own distance matrix
+(``DiscreteMeasure.distance_matrix``, built afresh from the same rows that
+the vectorized routines build on demand), so a distance that ties eps is
+decided on the same rounded value as in those routines; a Python sum of
+squares can differ from it in the last bit.
 """
 
 from __future__ import annotations

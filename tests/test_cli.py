@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rieszcap import measures
 from rieszcap.cli import build_parser, main
 from rieszcap.measures import DiscreteMeasure, load_measure, save_measure
 
@@ -48,6 +49,22 @@ class TestGen:
         code = main(["gen", "--ratio", "0.25", "--depth", "9",
                      "--out", str(tmp_path / "x.json")])
         assert code == 2
+
+    def test_memory_budget_exit_2(self, tmp_path, monkeypatch, capsys):
+        # The optimizer's (R, N) row order is refused on its estimate alone,
+        # before any distance row is built.
+        path = tmp_path / "m.json"
+        assert main(["gen", "--ratio", "0.25", "--depth", "2", "--out", str(path)]) == 0
+        monkeypatch.setattr(measures, "_memory_budget", lambda: 8.0)
+
+        def no_rows(*args):
+            raise AssertionError("distance rows built past the budget")
+
+        monkeypatch.setattr(measures, "_distance_rows", no_rows)
+        code = main(["capacity", "--measure", str(path), "--alpha", "0.5",
+                     "--out", str(tmp_path / "rows.csv")])
+        assert code == 2
+        assert "memory budget" in capsys.readouterr().err
 
     def test_dimension_flag(self, tmp_path, capsys):
         out = tmp_path / "m.json"

@@ -10,9 +10,15 @@ from hypothesis import strategies as st
 
 from conftest import make_random_measure
 from rieszcap import energies, measures
-from rieszcap.capacity import _pp_polarized
+from rieszcap.capacity import (
+    OptimizerConfig,
+    _pp_polarized,
+    estimate_positive_capacity,
+    minimize_wolff_energy,
+)
 from rieszcap.energies import (
     TruncationWindow,
+    WolffExponents,
     ball_mass_double_sum,
     default_eps_sweep,
     energy_report,
@@ -145,8 +151,8 @@ class TestCutoffTieOracles:
 
 
 class TestClosePairs:
-    """Below the min gap's band no pair is close and the matrix is not
-    scanned; from the band on, the mask decides, ties at eps included."""
+    """Below the min gap's band no pair is close and no distance row is
+    built; from the band on, the mask decides, ties at eps included."""
 
     @staticmethod
     def _mask_pairs(mu, eps):
@@ -167,10 +173,82 @@ class TestClosePairs:
             assert got.dtype == np.intp and got.shape[1] == 2
             assert np.array_equal(got, self._mask_pairs(mu, eps))
 
-    def test_below_the_band_reads_no_matrix(self, rng):
+    def test_below_the_band_reads_no_matrix(self, rng, monkeypatch):
         mu = make_random_measure(rng, 12)
+        calls = _counting(monkeypatch, "_distance_rows")
         pairs = energies._close_pairs(mu, mu.min_gap * (1.0 - 2.0 * measures._EXTREME_RTOL))
-        assert pairs.shape == (0, 2) and "dist" not in mu._cache
+        assert pairs.shape == (0, 2) and calls["_distance_rows"] == 0
+        energies._close_pairs(mu, mu.min_gap)
+        assert calls["_distance_rows"] == 1
+
+    def test_row_blocks_keep_the_row_major_order(self, rng, monkeypatch):
+        # 3 rows per block: 40 atoms leave a short last block.
+        mu = make_random_measure(rng, 40)
+        monkeypatch.setattr(energies, "_DISTANCE_BLOCK_BYTES", 3 * 8 * mu.size)
+        for eps in (mu.min_gap, 0.3, 5.0):
+            got = energies._close_pairs(mu, eps)
+            assert got.dtype == np.intp and got.shape[1] == 2
+            assert np.array_equal(got, self._mask_pairs(mu, eps))
+
+
+class TestDistanceRowsOnDemand:
+    """No energy or optimizer path builds or keeps the N x N distance
+    matrix: each builds the distance rows it reads."""
+
+    @staticmethod
+    def _cases(rng):
+        cantor = cantor_measure(cantor_spec_for_dimension(2, 1.2, 3))
+        half = cantor_measure(CantorSpec(n=2, ratio=0.5, depth=3))
+        cloud = make_random_measure(rng, 30)
+        reps, index = np.unique(cantor._cache["orbits"], return_inverse=True)
+        return [
+            (cantor, cantor.delta),
+            (cantor, 6.0 * cantor.delta),
+            # Ratio 0.5: close pairs tie eps = delta.
+            (half, half.delta),
+            (cloud, 0.3),
+            (cloud.with_weights(rng.uniform(0.2, 1.0, cloud.size)), cloud.min_gap),
+            (cantor.with_weights(rng.uniform(0.5, 1.5, len(reps))[index]), cantor.delta),
+            _cancelling_measure(),
+            _dense_random_measure(rng),
+        ]
+
+    def test_functionals_and_optimizers_build_no_matrix(self, rng, monkeypatch):
+        # Built before the patch: the case helpers count pairs on the matrix.
+        cases = self._cases(rng)
+
+        def no_matrix(self):
+            raise AssertionError("distance matrix built")
+
+        monkeypatch.setattr(DiscreteMeasure, "distance_matrix", no_matrix)
+        cfg = OptimizerConfig(max_iters=15)
+        for mu, eps in cases:
+            params = KernelParams(0.5, mu.n)
+            exps = WolffExponents.matched(params)
+            window = TruncationWindow(eps)
+            x = mu.atoms[0] + 0.5 * mu.delta
+            values = [
+                symmetrization_energy(mu, params, window),
+                riesz_l2_energy(mu, params, eps),
+                riesz_transform_at_atoms(mu, params, eps),
+                truncated_riesz_transform(mu, x, params, eps),
+                symmetrization_potentials_sq_at_atoms(mu, params, window),
+                symmetrization_potential_sq(mu, x, params, window),
+                maximal_potential(mu, x, params, window),
+                maximal_potential_values(mu, params, window),
+                maximal_potential_energy(mu, params, window),
+                maximal_at_atoms(mu, 0.5, eps),
+                energies.wolff_potential(mu, x, exps, window),
+                energies.wolff_potentials_at_atoms(mu, exps, window),
+                energies.wolff_energy(mu, exps, window),
+                ball_mass_double_sum(mu, params, window),
+                energy_report(mu, params, window).symmetrization,
+            ]
+            wolff = minimize_wolff_energy(mu, exps, window, cfg)
+            positive = estimate_positive_capacity(mu, params, window, cfg)
+            assert all(np.all(np.isfinite(v)) for v in values)
+            for measure in (mu, wolff.witness, positive.witness):
+                assert "dist" not in measure._cache
 
 
 class TestTruncationWindow:

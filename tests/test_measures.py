@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import make_random_measure
-from rieszcap import measures
-from rieszcap import capacity
+from rieszcap import capacity, energies, measures
 from rieszcap.capacity import OptimizerConfig, chebyshev_restrict, comparability_report
 from rieszcap.energies import (
     TruncationWindow,
@@ -88,13 +87,11 @@ class TestDiscreteMeasure:
 
     def test_with_weights_keeps_geometry(self, rng):
         mu = make_random_measure(rng, 10)
-        d = mu.distance_matrix()
         order = _row_order(mu)
         diameter = mu.diameter
         w = rng.uniform(0.0, 1.0, mu.size)
         nu = mu.with_weights(w)
         assert nu.atoms is mu.atoms
-        assert nu.distance_matrix() is d
         assert _row_order(nu) is order
         assert order.dtype == np.intp and not order.flags.writeable
         assert nu.min_gap == mu.min_gap and nu.delta == mu.delta
@@ -107,11 +104,10 @@ class TestDiscreteMeasure:
     def test_geometry_built_on_a_reweighted_measure_serves_the_original(self, rng):
         mu = make_random_measure(rng, 10)
         nu = mu.with_weights(rng.uniform(0.1, 1.0, mu.size))
-        d = nu.distance_matrix()
         order = _row_order(nu)
         diameter = nu.diameter
-        assert mu.distance_matrix() is d
-        assert _row_order(mu) is order
+        assert mu._cache is nu._cache
+        assert mu._cache["order"] is order and _row_order(mu) is order
         assert mu._cache["diameter"] == diameter
 
     def test_with_weights_of_its_own_weights_is_the_measure(self, rng):
@@ -170,6 +166,61 @@ class TestDistanceGeometry:
         mu = cantor_measure(cantor_spec_for_dimension(n, 0.7 * n, 9 // n, base=1.3))
         assert np.array_equal(mu.distance_matrix(), _einsum_distances(mu.atoms))
 
+    @staticmethod
+    def _assert_rows_match(mu):
+        d = mu.distance_matrix()
+        reps = np.unique(measures._orbits(mu))
+        for rows in (slice(None), slice(3, mu.size - 2), slice(5, 6), slice(4, 4),
+                     reps, np.array([mu.size - 1, 0, 2]), np.array([7]),
+                     np.array([], dtype=int)):
+            got = measures._distance_rows(mu, rows)
+            assert got.shape == d[rows].shape
+            assert np.array_equal(got, d[rows])
+            assert np.array_equal(got, _einsum_distances(mu.atoms)[rows])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_distance_rows_are_the_matrix_rows(self, monkeypatch, rng, n):
+        # 7 rows per block: a row's bits do not depend on its block.
+        monkeypatch.setattr(measures, "_DISTANCE_BLOCK_BYTES", 7 * 8 * 101)
+        atoms = rng.normal(size=(101, n)) * 10.0 ** rng.uniform(-3, 3, size=n)
+        self._assert_rows_match(DiscreteMeasure(atoms, np.ones(101)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_cantor_distance_rows_are_the_matrix_rows(self, monkeypatch, n):
+        mu = cantor_measure(cantor_spec_for_dimension(n, 0.7 * n, 9 // n, base=1.3))
+        # 5 rows per block: the orbit representatives straddle blocks.
+        monkeypatch.setattr(measures, "_DISTANCE_BLOCK_BYTES", 5 * 8 * mu.size)
+        self._assert_rows_match(mu)
+
+    def test_representative_rows_are_built_once(self, monkeypatch):
+        mu = cantor_measure(CantorSpec(n=2, ratio=0.25, depth=3))
+        reps = np.unique(measures._orbits(mu))
+        built = []
+        squared = measures._squared_distances
+
+        def counting(a, b, out):
+            built.append(len(a))
+            return squared(a, b, out)
+
+        monkeypatch.setattr(measures, "_squared_distances", counting)
+        got = measures._distance_rows(mu, reps[2:5])
+        position, at_reps = mu._cache["rep_rows"]
+        assert at_reps.shape == (len(reps), mu.size) and not at_reps.flags.writeable
+        assert sum(built) == len(reps)
+        assert np.array_equal(got, _einsum_distances(mu.atoms)[reps[2:5]])
+        assert np.array_equal(measures._distance_rows(mu, reps[::-1]), at_reps[::-1])
+        assert sum(built) == len(reps)
+        # Rows that are not all representatives are built on demand.
+        other = np.setdiff1d(np.arange(mu.size), reps)[0]
+        measures._distance_rows(mu, np.array([reps[0], other]))
+        assert sum(built) == len(reps) + 2
+
+    def test_distance_matrix_is_built_afresh(self, rng):
+        mu = make_random_measure(rng, 10)
+        d = mu.distance_matrix()
+        assert mu.distance_matrix() is not d
+        assert "dist" not in mu._cache
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_extreme_pair_distance_matches_brute_force(self, monkeypatch, rng, n):
         monkeypatch.setattr(measures, "_DISTANCE_BLOCK_BYTES", 5 * 8 * 61)
@@ -179,6 +230,74 @@ class TestDistanceGeometry:
             assert _extreme_pair_distance(atoms, largest=True) == d.max()
             np.fill_diagonal(d, np.inf)
             assert _extreme_pair_distance(atoms) == d.min()
+
+
+class TestMemoryGuard:
+    """Large allocations are refused up front, tested on the estimate alone:
+    the budget reader is patched, and nothing large is allocated."""
+
+    @staticmethod
+    def _refuse_rows(monkeypatch, budget):
+        monkeypatch.setattr(measures, "_memory_budget", lambda: budget)
+
+        def no_rows(*args):
+            raise AssertionError("distance rows built past the budget")
+
+        monkeypatch.setattr(measures, "_distance_rows", no_rows)
+
+    def test_budget_is_a_positive_share_of_the_memory(self):
+        assert measures._memory_budget() > 0.0
+
+    def test_distance_matrix_over_budget(self, monkeypatch, rng):
+        mu = make_random_measure(rng, 12)
+        self._refuse_rows(monkeypatch, 8 * 12 * 12 - 1)
+        with pytest.raises(SizeCapError, match="distance matrix"):
+            mu.distance_matrix()
+
+    @pytest.mark.parametrize("every", [False, True])
+    def test_row_order_over_budget(self, monkeypatch, every):
+        mu = cantor_measure(CantorSpec(n=2, ratio=0.25, depth=3))
+        reps = mu.size if every else len(np.unique(mu._cache["orbits"]))
+        self._refuse_rows(monkeypatch, 8 * reps * mu.size - 1)
+        with pytest.raises(SizeCapError, match="order"):
+            _row_order(mu, every=every)
+        assert "order" not in mu._cache and "full_order" not in mu._cache
+
+    def test_representative_rows_over_budget(self, monkeypatch):
+        mu = cantor_measure(CantorSpec(n=2, ratio=0.25, depth=3))
+        reps = np.unique(mu._cache["orbits"])
+        monkeypatch.setattr(measures, "_memory_budget", lambda: 8 * len(reps) * mu.size - 1)
+
+        def no_rows(*args):
+            raise AssertionError("distance rows built past the budget")
+
+        monkeypatch.setattr(measures, "_built_rows", no_rows)
+        with pytest.raises(SizeCapError, match="representatives"):
+            measures._distance_rows(mu, reps)
+        assert "rep_rows" not in mu._cache
+
+    def test_refinement_matrix_over_budget(self, monkeypatch):
+        mu = cantor_measure(CantorSpec(n=2, ratio=0.25, depth=2))
+        params = KernelParams(0.5, 2)
+        self._refuse_rows(monkeypatch, 8 * mu.size**2 - 1)
+        with pytest.raises(SizeCapError, match="distance matrix"):
+            capacity._refine_combined(mu, params, TruncationWindow(mu.delta),
+                                      mu.weights, OptimizerConfig())
+        assert "dist" not in mu._cache
+
+    def test_direct_potential_over_budget(self, monkeypatch, rng):
+        mu = make_random_measure(rng, 12)
+        # All 12 atoms are farther than eps from this point.
+        x, eps = mu.atoms.mean(axis=0) + 100.0, mu.min_gap
+        monkeypatch.setattr(measures, "_memory_budget", lambda: 3 * 8 * 12 * 12 - 1)
+
+        def no_distances(*args):
+            raise AssertionError("S x S distances built past the budget")
+
+        monkeypatch.setattr(energies, "_squared_distances", no_distances)
+        with pytest.raises(SizeCapError, match="direct squared potential"):
+            energies.symmetrization_potential_sq(mu, x, KernelParams(0.5, 2),
+                                                 TruncationWindow(eps))
 
 
 class TestCantorGenerator:
@@ -506,6 +625,31 @@ class TestRowOrderCache:
                                                OptimizerConfig())
         assert diag["iterations"] > 1
         assert sorts == [(mu.size, mu.size)]
+
+    def test_refinement_builds_the_distance_matrix_once(self, monkeypatch):
+        # Its iterates read every row: they slice the support's matrix,
+        # built once and kept read-only as "dist".
+        mu = cantor_measure(cantor_spec_for_dimension(2, 0.75, 3))
+        params = KernelParams(0.5, 2)
+        window = TruncationWindow(mu.delta)
+        report = comparability_report(mu, 0.5, window, OptimizerConfig(max_iters=20))
+        assert "dist" not in mu._cache
+        built = []
+        squared = measures._squared_distances
+
+        def counting(a, b, out):
+            built.append(len(a))
+            return squared(a, b, out)
+
+        monkeypatch.setattr(measures, "_squared_distances", counting)
+        _, _, diag = capacity._refine_combined(mu, params, window,
+                                               report.wolff_proxy.witness.weights,
+                                               OptimizerConfig())
+        assert diag["iterations"] > 1
+        assert sum(built) == mu.size
+        kept = mu._cache["dist"]
+        assert not kept.flags.writeable
+        assert np.array_equal(kept, _einsum_distances(mu.atoms))
 
     def test_equal_weights_build_no_order(self, monkeypatch, rng):
         # Built before counting: cantor_measure sorts each atom's digits.
