@@ -44,6 +44,7 @@ from .errors import (
 from .kernels import KernelParams
 from .measures import (
     DiscreteMeasure,
+    _check_bytes,
     _distance_rows,
     _extreme_pair_distance,
     _maximal_rows,
@@ -134,6 +135,12 @@ class _WolffObjective:
     ``DomainError``.  With singleton orbits R = N and the arithmetic is the
     unreduced one.  Gradient requires e >= 1 (p <= 2) so the integrand
     stays differentiable where cumulative masses vanish.
+
+    Memory: at most seven (R, N) arrays of 8 bytes an entry are live at
+    once, checked against the budget (``measures._check_bytes``) before any
+    is built: the kept representative rows and order, ``flat``, ``drop``,
+    and per step the prefix sums with two temporaries (the gather, the
+    powers' factors, the suffix sums or their gather).
     """
 
     def __init__(self, support: DiscreteMeasure, exps: WolffExponents,
@@ -150,6 +157,7 @@ class _WolffObjective:
         self.reps, self.index, counts = _symmetry_orbits(support)
         self.counts = counts.astype(float)
         reps = len(self.reps)
+        _check_bytes(7 * 8 * reps * size, "the Wolff objective")
         self.order = _row_order(support)
         # flat[r, m] is the position of atom m's piece in row r of the
         # row-reversed suffix sums, flattened: r * N + (N - 1 - rank).
@@ -188,6 +196,7 @@ class _WolffObjective:
         if last is not None and np.array_equal(last[0], w):
             _, cum, pot = last
         else:
+            del last  # release a stale pass before making a new one
             cum, pot = self._prefix(w)
         # dW_i/dw_m = e * sum over pieces at radius >= d_im of m^(e-1) drop:
         # suffix sums over the sorted pieces, gathered back per atom.
@@ -328,24 +337,23 @@ def _refine_combined(support, params, window, w0, cfg):
     25 steps, fewer when ``cfg`` caps lower.
 
     The iterates' weights are not constant on the symmetry orbits, so each
-    step reads every row; the support's distance matrix, kept as "dist"
-    (``measures._distance_rows``), and its order of every row are built
-    once and every iterate shares them.
+    step reads every row.  They run on a private copy of the support with
+    the trivial symmetry group, every atom its own orbit: by the support's
+    one rule for kept rows (``measures._distance_rows``), the copy keeps
+    every distance row and their order (8 N^2 bytes each), built once and
+    shared by every iterate, and frees them when the descent returns.
     """
-    if "dist" not in support._cache:
-        dist = support.distance_matrix()
-        dist.setflags(write=False)
-        support._cache["dist"] = dist
-    _row_order(support, every=True)
+    trivial = DiscreteMeasure(support.atoms, support.weights, support.delta,
+                              {"min_gap": support.min_gap, "orbits": np.arange(support.size)})
 
     class _Objective:
         # The measure of the latest weights, so that its completed square
         # serves both the energy and the subgradient.
-        _last = support
+        _last = trivial
 
         def _measure(self, w):
             if not np.array_equal(self._last.weights, w):
-                self._last = support.with_weights(w)
+                self._last = trivial.with_weights(w)
             return self._last
 
         def energy(self, w):
@@ -371,7 +379,8 @@ def _combined_subgradient(mu, params, window) -> tuple:
     w = mu.weights
     m_vals = np.empty(mu.size)
     r_star = np.empty(mu.size)
-    for rows, vals, r in _maximal_rows(mu, alpha, window.eps, window.outer):
+    for rows, vals, r in _maximal_rows(mu, alpha, window.eps, window.outer,
+                                       np.arange(mu.size)):
         best = np.argmax(vals, axis=1)[:, None]
         m_vals[rows] = np.take_along_axis(vals, best, axis=1)[:, 0]
         r_star[rows] = np.take_along_axis(r, best, axis=1)[:, 0]

@@ -175,13 +175,6 @@ def _row_block(n_atoms: int, n_dim: int) -> int:
     return max(1, (32 << 20) // max(1, n_atoms * n_dim * 8))
 
 
-def _block_rows(mu: DiscreteMeasure, rows: np.ndarray, sel: slice):
-    """The atoms of block ``sel`` of the ascending row set ``rows``: the
-    slice itself when ``rows`` holds every atom, so no index array is
-    gathered."""
-    return sel if len(rows) == mu.size else rows[sel]
-
-
 def _kernel_rows(mu: DiscreteMeasure, alpha: float, eps: float, rows) -> np.ndarray:
     """K[m, j] = k_a(x_j - x_{rows[m]}) where d > eps, and zero where d <= eps."""
     x = mu.atoms
@@ -278,7 +271,7 @@ def _transform_at_atoms(mu: DiscreteMeasure, alpha: float, eps: float, rows: np.
     block = _row_block(mu.size + 2 * len(a), mu.n)
     for i0 in range(0, count, block):
         sel = slice(i0, i0 + block)
-        kernels = _kernel_rows(mu, alpha, eps, _block_rows(mu, rows, sel))
+        kernels = _kernel_rows(mu, alpha, eps, rows[sel])
         r[sel] = np.einsum("mjn,j->mn", kernels, w)
         # One component at a time: a loop over the few components sums
         # faster than einsum does, and holds no (B, P, n) legs.
@@ -481,7 +474,7 @@ def _square_sums(mu: DiscreteMeasure, alpha: float, eps: float, pairs: np.ndarra
     block = _row_block(mu.size, mu.n)
     for i0 in range(0, len(reps), block):
         sel = slice(i0, i0 + block)
-        rows = _distance_rows(mu, _block_rows(mu, reps, sel))
+        rows = _distance_rows(mu, reps[sel])
         with np.errstate(divide="ignore"):
             inv = rows ** (-2.0 * alpha)
         inv[rows <= eps] = 0.0
@@ -716,7 +709,7 @@ def _ball_mass_rows(mu: DiscreteMeasure, params: KernelParams,
     within a band, reading representatives would change the sum.
     """
     per_row = np.empty(mu.size)
-    for rows, near, dist in _sorted_rows(mu):
+    for rows, near, dist in _sorted_rows(mu, np.arange(mu.size)):
         cum = np.cumsum(near, axis=1)
         # The closed ball through a tie group holds all of it: every member
         # takes the cumulative mass at the group's last member, which is the

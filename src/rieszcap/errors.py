@@ -19,7 +19,8 @@ class DomainError(RieszcapError, ValueError):
 
 
 class SizeCapError(RieszcapError, ValueError):
-    """A generator would produce more atoms than the configured cap."""
+    """A request exceeds a size limit, checked before anything is built:
+    a generator's atom cap, or the memory budget (``measures._check_bytes``)."""
 
 
 class MeasureFormatError(RieszcapError, ValueError):

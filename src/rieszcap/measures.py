@@ -70,14 +70,13 @@ class DiscreteMeasure:
     delta: float = None  # type: ignore[assignment]
     # The support's geometry, filled lazily and shared by reference with
     # every measure that ``with_weights`` makes: "min_gap", "diameter",
-    # the intp row orders "order" (8 R N bytes at the R orbit
-    # representatives) and "full_order" (``_row_order``), and "orbits",
-    # each atom's symmetry-orbit id (``_cantor_orbits``), which only
-    # ``cantor_measure`` and a measure file that it reproduces set; without
-    # it the orbits are singletons.  Distance rows are built on demand
-    # (``_distance_rows``), which keeps those of the orbit representatives
-    # as "rep_rows" (8 R N bytes); only ``capacity._refine_combined`` keeps
-    # the full matrix, as "dist" (8 N^2 bytes), for its iterates.
+    # and "orbits", each atom's symmetry-orbit id (``_cantor_orbits``),
+    # which only ``cantor_measure`` and a measure file that it reproduces
+    # set; without it the orbits are singletons.  The only row entries are
+    # those of the R orbit representatives: their distance rows
+    # "rep_rows" (``_distance_rows``) and their intp row order "order"
+    # (``_row_order``), 8 R N bytes each.  Every other row is built on
+    # demand.  Only this module reads or writes the cache.
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
     # The completed squares of these weights, one per (alpha, eps)
     # (``energies._completed_square``), kept by this measure alone.
@@ -153,7 +152,7 @@ class DiscreteMeasure:
         energy or optimizer path calls it; the oracles and the tests do.
         """
         _check_bytes(8 * self.size * self.size, "the distance matrix")
-        return _distance_rows(self, slice(None))
+        return _built_rows(self.atoms, self.atoms)
 
     # -- derived measures ----------------------------------------------------
 
@@ -205,30 +204,34 @@ def _distance_rows(mu: DiscreteMeasure, rows, first: int = 0) -> np.ndarray:
     ``_DISTANCE_BLOCK_BYTES``, one coordinate at a time
     (``_squared_distances``), then square-rooted.  Every entry is
     elementwise arithmetic, so a row is the same bits whichever rows are
-    built with it, and an atom's distance to itself is exactly 0.  When the
-    support keeps the full matrix as "dist", its rows are sliced instead.
-    On a support with symmetry orbits, every functional of orbit-constant
-    weights reads the R representatives' rows, so these are built once
-    and kept as "rep_rows" (8 R N bytes, R < N): an index array of
-    representatives is gathered from them.
+    built with it, and an atom's distance to itself is exactly 0.
+
+    This is the one rule for which rows a support keeps.  On a support
+    with symmetry orbits, every functional of orbit-constant weights reads
+    the R representatives' rows, so these are built once and kept,
+    read-only, as "rep_rows" (8 R N bytes).  Rows that are all
+    representatives come from them: a consecutive run of representatives
+    as a view, any other set gathered.  Every other row is built on
+    demand and not kept.
     """
-    kept = mu._cache.get("dist")
-    if kept is not None:
-        return kept[rows, first:]
+    if isinstance(rows, slice):
+        rows = np.arange(mu.size)[rows]
     orbits = mu._cache.get("orbits")
     # An orbit's id is its smallest atom, so its representative.
-    if (orbits is not None and first == 0 and isinstance(rows, np.ndarray)
-            and np.array_equal(orbits[rows], rows)):
-        if "rep_rows" not in mu._cache:
-            is_rep = orbits == np.arange(mu.size)
-            reps = np.flatnonzero(is_rep)
-            _check_bytes(8 * len(reps) * mu.size, "the representatives' distance rows")
-            at_reps = _built_rows(mu.atoms[reps], mu.atoms)
-            at_reps.setflags(write=False)
-            mu._cache["rep_rows"] = (np.cumsum(is_rep) - 1, at_reps)
-        position, at_reps = mu._cache["rep_rows"]
-        return at_reps[position[rows]]
-    return _built_rows(mu.atoms[rows], mu.atoms[first:])
+    if orbits is None or not np.array_equal(orbits[rows], rows):
+        return _built_rows(mu.atoms[rows], mu.atoms[first:])
+    if "rep_rows" not in mu._cache:
+        is_rep = orbits == np.arange(mu.size)
+        reps = np.flatnonzero(is_rep)
+        _check_bytes(8 * len(reps) * mu.size, "the representatives' distance rows")
+        at_reps = _built_rows(mu.atoms[reps], mu.atoms)
+        at_reps.setflags(write=False)
+        mu._cache["rep_rows"] = (np.cumsum(is_rep) - 1, at_reps)
+    position, at_reps = mu._cache["rep_rows"]
+    at = position[rows]
+    if len(at) and np.all(np.diff(at) == 1):
+        return at_reps[at[0] : at[0] + len(at), first:]
+    return at_reps[at, first:]
 
 
 def _built_rows(sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -575,23 +578,18 @@ def maximal_function(
     return float(np.max(vals))
 
 
-def _row_order(mu: DiscreteMeasure, every: bool = False) -> np.ndarray:
-    """Stable per-row order of the distance rows, cached and read-only:
-    row r lists the atoms by distance from the r-th row's atom, ties in
-    index order.
+def _row_order(mu: DiscreteMeasure) -> np.ndarray:
+    """Stable per-row order of the support's orbit representatives'
+    distance rows (``_symmetry_orbits``), cached as "order" and read-only:
+    row r lists the atoms by distance from the r-th representative, ties
+    in index order.
 
-    The rows are the support's orbit representatives (``_symmetry_orbits``),
-    an (R, N) array kept as "order", or with ``every`` all N atoms, kept
-    apart as "full_order".  Without orbits R = N and "order" is both.  The
-    order is checked against the memory budget (``_check_bytes``) and
-    filled from blocks of distance rows, each argsorted on its own.
+    An (R, N) array; without orbits R = N.  It is checked against the
+    memory budget (``_check_bytes``) and filled from blocks of distance
+    rows, each argsorted on its own.
     """
-    reps = _symmetry_orbits(mu).reps
-    every = every and len(reps) < mu.size
-    key = "full_order" if every else "order"
-    if key not in mu._cache:
-        if every:
-            reps = np.arange(mu.size)
+    if "order" not in mu._cache:
+        reps = _symmetry_orbits(mu).reps
         _check_bytes(8 * len(reps) * mu.size, "the distance-row order")
         order = np.empty((len(reps), mu.size), dtype=np.intp)
         block = max(1, _SORTED_BLOCK_BYTES // (8 * mu.size))
@@ -599,49 +597,39 @@ def _row_order(mu: DiscreteMeasure, every: bool = False) -> np.ndarray:
             rows = _distance_rows(mu, reps[i0 : i0 + block])
             order[i0 : i0 + block] = np.argsort(rows, axis=1, kind="stable")
         order.setflags(write=False)
-        mu._cache[key] = order
-    return mu._cache[key]
+        mu._cache["order"] = order
+    return mu._cache["order"]
 
 
-def _sorted_rows(mu: DiscreteMeasure, subset=None):
-    """Yield (rows, near, sorted distances) over blocks of atom rows.
+def _sorted_rows(mu: DiscreteMeasure, rows: np.ndarray):
+    """Yield (sel, near, sorted distances) over blocks of the atom rows
+    ``rows``, an ascending index array of distinct atoms.
 
-    ``rows`` is a slice of atoms; ``sorted distances`` are their distance
-    rows in ascending order and ``near`` the weights in each row's stable
-    distance order (ties in index order).  Equal weights need no order:
-    the rows are value-sorted and ``near`` is the one weight, broadcast.
-    Other weights gather through the cached row order (``_row_order``)
-    when it holds the rows read: the orbit representatives, or every atom
-    once an order of every row is cached.  Otherwise each block's rows are
-    argsorted on their own, and the order is not kept.  With an ascending
-    index array ``subset`` of distinct atoms, only those rows are read and
-    ``rows`` slices positions in ``subset``; a subset of every atom reads
-    every row.  Each block's distance rows are built on demand
-    (``_distance_rows``).  Blocks hold whole rows, so a tie group never
-    straddles two blocks.
+    ``sel`` slices positions in ``rows``; ``sorted distances`` are the
+    block's distance rows (``_distance_rows``) in ascending order and
+    ``near`` the weights in each row's stable distance order (ties in
+    index order).  Equal weights need no order: the rows are value-sorted
+    and ``near`` is the one weight, broadcast.  Other weights gather
+    through the support's cached row order (``_row_order``) when ``rows``
+    are its orbit representatives; otherwise each block's rows are
+    argsorted on their own, and the order is not kept.  Blocks hold whole
+    rows, so a tie group never straddles two blocks.
     """
     w = mu.weights
-    if subset is not None and len(subset) == mu.size:
-        subset = None
     equal = np.all(w == w[0])
     order = None
-    if not equal:
-        reps = _symmetry_orbits(mu).reps
-        if np.array_equal(np.arange(mu.size) if subset is None else subset, reps):
-            order = _row_order(mu)
-        elif subset is None:
-            order = mu._cache.get("full_order")
-    count = mu.size if subset is None else len(subset)
+    if not equal and np.array_equal(rows, _symmetry_orbits(mu).reps):
+        order = _row_order(mu)
     block = max(1, _SORTED_BLOCK_BYTES // (8 * mu.size))
-    for i0 in range(0, count, block):
-        rows = slice(i0, i0 + block)
-        dist = _distance_rows(mu, rows if subset is None else subset[rows])
+    for i0 in range(0, len(rows), block):
+        sel = slice(i0, i0 + block)
+        dist = _distance_rows(mu, rows[sel])
         if equal:
             sorted_d = np.sort(dist, axis=1)
-            yield rows, np.broadcast_to(w[0], sorted_d.shape), sorted_d
+            yield sel, np.broadcast_to(w[0], sorted_d.shape), sorted_d
             continue
-        by = np.argsort(dist, axis=1, kind="stable") if order is None else order[rows]
-        yield rows, w[by], np.take_along_axis(dist, by, axis=1)
+        by = np.argsort(dist, axis=1, kind="stable") if order is None else order[sel]
+        yield sel, w[by], np.take_along_axis(dist, by, axis=1)
 
 
 def maximal_at_atoms(
@@ -661,22 +649,22 @@ def maximal_at_atoms(
 
 
 def _maximal_rows(mu: DiscreteMeasure, alpha: float, r_min: float, r_max: float,
-                  subset=None):
-    """Yield (rows, ratios, radii) over blocks of atom rows (of ``subset``,
-    as in ``_sorted_rows``).
+                  rows: np.ndarray):
+    """Yield (sel, ratios, radii) over blocks of the ascending atom rows
+    ``rows``, as in ``_sorted_rows``.
 
     Along a row in ascending distance order, ``radii`` are max(d, r_min) and
     ``ratios`` the closed-ball masses over radii^alpha, zero for an empty
     ball or a radius above r_max.  The row maximum is the maximal function
     at that atom, attained at the radius of its argmax.
     """
-    for rows, near, sorted_d in _sorted_rows(mu, subset):
+    for sel, near, sorted_d in _sorted_rows(mu, rows):
         cum = np.cumsum(near, axis=1)
         r = np.maximum(sorted_d, r_min)
         # Only radii in [r_min, r_max] are admissible: none when r_max < r_min.
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = np.where((cum > 0.0) & (r <= r_max), cum / r**alpha, 0.0)
-        yield rows, vals, r
+        yield sel, vals, r
 
 
 # ---------------------------------------------------------------------------

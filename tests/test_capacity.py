@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_random_measure
+from conftest import kept_matrices, make_random_measure
 from rieszcap import capacity, energies, measures
 from rieszcap.capacity import (
     METHOD_ENERGY,
@@ -309,6 +309,14 @@ class TestPositiveCapacity:
         plain = estimate_positive_capacity(mu, P2, window)
         refined = estimate_positive_capacity(mu, P2, window, refine=True)
         assert refined.value >= plain.value * (1 - 1e-12)
+
+    def test_refinement_keeps_no_matrix_on_the_support(self):
+        # The iterates' rows and order of every row live on a private copy.
+        mu = cantor_measure(cantor_spec_for_dimension(2, 0.75, 3))
+        est = estimate_positive_capacity(mu, P2, TruncationWindow(mu.delta),
+                                         OptimizerConfig(max_iters=20), refine=True)
+        assert est.diagnostics["refined"] == 1.0
+        assert kept_matrices(mu) == [] and kept_matrices(est.witness) == []
 
     def test_refinement_completes_one_square_per_weight_vector(self, rng, monkeypatch):
         # Every weight vector completes its square once: a line-search trial

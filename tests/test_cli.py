@@ -51,8 +51,8 @@ class TestGen:
         assert code == 2
 
     def test_memory_budget_exit_2(self, tmp_path, monkeypatch, capsys):
-        # The optimizer's (R, N) row order is refused on its estimate alone,
-        # before any distance row is built.
+        # The Wolff objective's (R, N) arrays are refused on their estimate
+        # alone, before any distance row is built.
         path = tmp_path / "m.json"
         assert main(["gen", "--ratio", "0.25", "--depth", "2", "--out", str(path)]) == 0
         monkeypatch.setattr(measures, "_memory_budget", lambda: 8.0)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_random_measure
+from conftest import kept_matrices, make_random_measure
 from rieszcap import energies, measures
 from rieszcap.capacity import (
     OptimizerConfig,
@@ -248,7 +248,8 @@ class TestDistanceRowsOnDemand:
             positive = estimate_positive_capacity(mu, params, window, cfg)
             assert all(np.all(np.isfinite(v)) for v in values)
             for measure in (mu, wolff.witness, positive.witness):
-                assert "dist" not in measure._cache
+                # At most the row order of an orbit-free support, R = N.
+                assert all(a.dtype == np.intp for a in kept_matrices(measure))
 
 
 class TestTruncationWindow:

@@ -1,11 +1,12 @@
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import make_random_measure
+from conftest import kept_matrices, make_random_measure
 from rieszcap import capacity, energies, measures
 from rieszcap.capacity import OptimizerConfig, chebyshev_restrict, comparability_report
 from rieszcap.energies import (
@@ -219,7 +220,24 @@ class TestDistanceGeometry:
         mu = make_random_measure(rng, 10)
         d = mu.distance_matrix()
         assert mu.distance_matrix() is not d
-        assert "dist" not in mu._cache
+        assert kept_matrices(mu) == []
+
+    def test_consecutive_representatives_are_a_view(self):
+        mu = cantor_measure(CantorSpec(n=2, ratio=0.25, depth=3))
+        reps = np.unique(measures._orbits(mu))
+        want = _einsum_distances(mu.atoms)
+        got = measures._distance_rows(mu, reps[2:5])
+        _, at_reps = mu._cache["rep_rows"]
+        assert np.shares_memory(got, at_reps) and not got.flags.writeable
+        assert np.array_equal(got, want[reps[2:5]])
+        backwards = measures._distance_rows(mu, reps[::-1])
+        assert np.array_equal(backwards, want[reps[::-1]])
+
+    def test_only_measures_touches_the_cache(self):
+        # The rule for which rows a support keeps lives in one module.
+        for path in Path(measures.__file__).parent.glob("*.py"):
+            if path.name != "measures.py":
+                assert "._cache" not in path.read_text(encoding="utf-8"), path.name
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_extreme_pair_distance_matches_brute_force(self, monkeypatch, rng, n):
@@ -254,14 +272,18 @@ class TestMemoryGuard:
         with pytest.raises(SizeCapError, match="distance matrix"):
             mu.distance_matrix()
 
-    @pytest.mark.parametrize("every", [False, True])
-    def test_row_order_over_budget(self, monkeypatch, every):
+    @pytest.mark.parametrize("trivial", [False, True])
+    def test_row_order_over_budget(self, monkeypatch, trivial):
+        # With the trivial symmetry group, as refinement runs, R = N.
         mu = cantor_measure(CantorSpec(n=2, ratio=0.25, depth=3))
-        reps = mu.size if every else len(np.unique(mu._cache["orbits"]))
+        if trivial:
+            mu = DiscreteMeasure(mu.atoms, mu.weights, mu.delta,
+                                 {"orbits": np.arange(mu.size)})
+        reps = len(np.unique(mu._cache["orbits"]))
         self._refuse_rows(monkeypatch, 8 * reps * mu.size - 1)
         with pytest.raises(SizeCapError, match="order"):
-            _row_order(mu, every=every)
-        assert "order" not in mu._cache and "full_order" not in mu._cache
+            _row_order(mu)
+        assert "order" not in mu._cache
 
     def test_representative_rows_over_budget(self, monkeypatch):
         mu = cantor_measure(CantorSpec(n=2, ratio=0.25, depth=3))
@@ -277,13 +299,37 @@ class TestMemoryGuard:
         assert "rep_rows" not in mu._cache
 
     def test_refinement_matrix_over_budget(self, monkeypatch):
+        # Refinement keeps every row as the representatives' rows of its
+        # copy with the trivial symmetry group.
         mu = cantor_measure(CantorSpec(n=2, ratio=0.25, depth=2))
         params = KernelParams(0.5, 2)
-        self._refuse_rows(monkeypatch, 8 * mu.size**2 - 1)
-        with pytest.raises(SizeCapError, match="distance matrix"):
+        monkeypatch.setattr(measures, "_memory_budget", lambda: 8 * mu.size**2 - 1)
+
+        def no_rows(*args):
+            raise AssertionError("distance rows built past the budget")
+
+        monkeypatch.setattr(measures, "_built_rows", no_rows)
+        with pytest.raises(SizeCapError, match="representatives"):
             capacity._refine_combined(mu, params, TruncationWindow(mu.delta),
                                       mu.weights, OptimizerConfig())
-        assert "dist" not in mu._cache
+        assert kept_matrices(mu) == []
+
+    def test_wolff_objective_over_budget(self, monkeypatch):
+        # Seven (R, N) arrays at once: the kept rows and order, flat, drop
+        # and three per step.
+        mu = cantor_measure(CantorSpec(n=2, ratio=0.25, depth=3))
+        reps = len(np.unique(mu._cache["orbits"]))
+        estimate = 7 * 8 * reps * mu.size
+        params = KernelParams(0.5, 2)
+        args = (mu, WolffExponents.matched(params), TruncationWindow(mu.delta))
+        self._refuse_rows(monkeypatch, estimate - 1)
+        with pytest.raises(SizeCapError, match="Wolff objective"):
+            capacity._WolffObjective(*args)
+        assert "order" not in mu._cache
+        monkeypatch.undo()
+        monkeypatch.setattr(measures, "_memory_budget", lambda: estimate)
+        capacity._WolffObjective(*args)
+        assert _row_order(mu).shape == (reps, mu.size)
 
     def test_direct_potential_over_budget(self, monkeypatch, rng):
         mu = make_random_measure(rng, 12)
@@ -627,13 +673,13 @@ class TestRowOrderCache:
         assert sorts == [(mu.size, mu.size)]
 
     def test_refinement_builds_the_distance_matrix_once(self, monkeypatch):
-        # Its iterates read every row: they slice the support's matrix,
-        # built once and kept read-only as "dist".
+        # Its iterates read every row: on its copy with the trivial symmetry
+        # group every row is a representative's, built once and kept.
         mu = cantor_measure(cantor_spec_for_dimension(2, 0.75, 3))
         params = KernelParams(0.5, 2)
         window = TruncationWindow(mu.delta)
         report = comparability_report(mu, 0.5, window, OptimizerConfig(max_iters=20))
-        assert "dist" not in mu._cache
+        assert kept_matrices(mu) == []
         built = []
         squared = measures._squared_distances
 
@@ -647,9 +693,7 @@ class TestRowOrderCache:
                                                OptimizerConfig())
         assert diag["iterations"] > 1
         assert sum(built) == mu.size
-        kept = mu._cache["dist"]
-        assert not kept.flags.writeable
-        assert np.array_equal(kept, _einsum_distances(mu.atoms))
+        assert kept_matrices(mu) == []
 
     def test_equal_weights_build_no_order(self, monkeypatch, rng):
         # Built before counting: cantor_measure sorts each atom's digits.
@@ -671,7 +715,7 @@ class TestRowOrderCache:
             wolff_energy(mu, exps, window)
             ball_mass_double_sum(mu, params, window)
             maximal_potential_energy(mu, params, window)
-            assert "order" not in mu._cache and "full_order" not in mu._cache
+            assert "order" not in mu._cache
         assert sorts == []
 
     def test_row_blocks_give_bitwise_equal_results(self, monkeypatch, rng):
