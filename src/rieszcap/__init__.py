@@ -11,7 +11,6 @@ from .energies import (
     maximal_potential_energy,
     maximal_potential_values,
     riesz_l2_energy,
-    riesz_transform_at_atoms,
     symmetrization_energy,
     symmetrization_potential_sq,
     symmetrization_potentials_sq_at_atoms,

@@ -5,9 +5,13 @@ by the support: the reciprocal of the combined maximal-plus-potential
 energy (positive-capacity route), and the reciprocal of the Wolff energy
 raised to p - 1 (nonlinear Riesz-capacity route).  Atom positions stay
 fixed; only the weight vector moves, by projected gradient descent on the
-probability simplex.  The Wolff descent runs over the support's symmetry
-orbits (see ``_WolffObjective``): on a corner-Cantor support each step
-costs O(R N) for R orbits instead of O(N^2).
+probability simplex.  The descent (``_descend``) reads an objective
+through one protocol: ``energy(w)`` returns the energy with the pass that
+made it as its state, and ``gradient(state)`` reads that pass at the start
+and at each accepted step, so no objective keeps a pass between calls.
+The Wolff descent runs over the support's symmetry orbits (see
+``_WolffObjective``): on a corner-Cantor support each step costs O(R N)
+for R orbits instead of O(N^2).
 
 The Wolff energy is the optimization target: for the matched exponents its
 dual exponent is 2, making the objective a smooth cubic polynomial of the
@@ -25,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -125,22 +130,23 @@ class _WolffObjective:
     that gathers per-piece sums back to atoms.  With orbit sizes |O_r| the
     energy is sum_r |O_r| w_r pot_r; the gradient at an atom m of orbit
     O is pot_m + e * mean over m' in O of u_m', with u = (|O| w)_reps @ J
-    and J the representatives' gathered suffix sums.  ``energy`` costs one
-    O(R N) prefix-sum pass and keeps that pass until the next call;
-    ``energy_and_gradient`` at the same weights reuses it (as ``_descend``
-    does on every accepted step) and adds only the suffix-sum pass and the
-    gather.  The descent's steps are equivariant and its projection onto
-    the simplex acts elementwise after one shift, so every iterate from
-    the uniform start is bitwise orbit-invariant; other weights raise
-    ``DomainError``.  With singleton orbits R = N and the arithmetic is the
-    unreduced one.  Gradient requires e >= 1 (p <= 2) so the integrand
-    stays differentiable where cumulative masses vanish.
+    and J the representatives' gathered suffix sums.  ``energy(w)`` costs
+    one O(R N) prefix-sum pass and returns the energy with that pass as
+    its state; ``gradient(state)`` adds only the suffix-sum pass and the
+    gather.  The objective keeps no state between calls.  The descent's
+    steps are equivariant and its projection onto the simplex acts
+    elementwise after one shift, so every iterate from the uniform start
+    is bitwise orbit-invariant; other weights raise ``DomainError``.  With
+    singleton orbits R = N and the arithmetic is the unreduced one.
+    Gradient requires e >= 1 (p <= 2) so the integrand stays
+    differentiable where cumulative masses vanish.
 
     Memory: at most seven (R, N) arrays of 8 bytes an entry are live at
     once, checked against the budget (``measures._check_bytes``) before any
     is built: the kept representative rows and order, ``flat``, ``drop``,
     and per step the prefix sums with two temporaries (the gather, the
-    powers' factors, the suffix sums or their gather).
+    powers' factors, the suffix sums or their gather).  ``_descend`` holds
+    one state at a time, so no second pass's prefix sums are live.
     """
 
     def __init__(self, support: DiscreteMeasure, exps: WolffExponents,
@@ -169,7 +175,6 @@ class _WolffObjective:
         self.drop = np.empty((reps, size))
         for block, _, sorted_d in _sorted_rows(support, self.reps):
             self.drop[block] = _wolff_drops(sorted_d, beta, window) / beta
-        self._last = None  # (w, cum, pot) of the latest energy() call
 
     def _mass(self, w: np.ndarray) -> np.ndarray:
         """|O_r| w_r at the representatives, after checking invariance."""
@@ -178,39 +183,38 @@ class _WolffObjective:
             raise DomainError("weights are not constant on the support's symmetry orbits")
         return self.counts * rep_w
 
-    def _prefix(self, w: np.ndarray) -> tuple:
+    def energy(self, w: np.ndarray) -> tuple:
+        """(E(w), state): the state is the prefix-sum pass ``gradient`` reads."""
+        mass = self._mass(w)
         cum = np.cumsum(w[self.order], axis=1)
-        return cum, (cum**self.exps.dual_exp * self.drop).sum(axis=1)
+        pot = (cum**self.exps.dual_exp * self.drop).sum(axis=1)
+        return float(np.dot(mass, pot)), (mass, cum, pot)
 
-    def energy(self, w: np.ndarray) -> float:
-        self._last = None  # release the previous pass before making a new one
-        mass = self._mass(w)
-        cum, pot = self._prefix(w)
-        self._last = (w.copy(), cum, pot)
-        return float(np.dot(mass, pot))
-
-    def energy_and_gradient(self, w: np.ndarray) -> tuple:
+    def gradient(self, state: tuple) -> np.ndarray:
+        """The gradient at the weights whose ``energy`` returned ``state``."""
+        mass, cum, pot = state
         e = self.exps.dual_exp
-        mass = self._mass(w)
-        last, self._last = self._last, None
-        if last is not None and np.array_equal(last[0], w):
-            _, cum, pot = last
-        else:
-            del last  # release a stale pass before making a new one
-            cum, pot = self._prefix(w)
         # dW_i/dw_m = e * sum over pieces at radius >= d_im of m^(e-1) drop:
         # suffix sums over the sorted pieces, gathered back per atom.
         suffix = np.cumsum((cum ** (e - 1.0) * self.drop)[:, ::-1], axis=1)
         j = np.take(suffix, self.flat)
         u = np.bincount(self.index, mass @ j, len(self.reps)) / self.counts
         grad = pot + e * u
-        return float(np.dot(mass, pot)), grad[self.index]
+        return grad[self.index]
 
 
 def _descend(objective, w0: np.ndarray, cfg: OptimizerConfig) -> tuple:
-    """Monotone projected gradient descent; returns (w, energy, diagnostics)."""
+    """Monotone projected gradient descent; returns (w, energy, diagnostics).
+
+    ``objective.energy(w)`` returns (E, state) at every trial point, and
+    ``objective.gradient(state)`` is read at the start and at each accepted
+    trial only.  One state is live at a time: a rejected trial's is
+    dropped before the next trial, an accepted one's after its gradient.
+    """
     w = np.asarray(w0, dtype=float)
-    energy, grad = objective.energy_and_gradient(w)
+    energy, state = objective.energy(w)
+    grad = objective.gradient(state)
+    del state
     iters = 0
     backtracks = 0
     converged = False
@@ -225,18 +229,20 @@ def _descend(objective, w0: np.ndarray, cfg: OptimizerConfig) -> tuple:
         accepted = False
         for _ in range(60):
             w_new = project_to_simplex(w - t * grad)
-            e_new = objective.energy(w_new)
+            e_new, state = objective.energy(w_new)
             if e_new < energy:
                 accepted = True
                 break
+            del state
             t *= 0.5
             backtracks += 1
         if not accepted:
             converged = True
             break
         drop = (energy - e_new) / energy
-        w = w_new
-        energy, grad = objective.energy_and_gradient(w)
+        w, energy = w_new, e_new
+        grad = objective.gradient(state)
+        del state
         if drop < cfg.tolerance:
             converged = True
             break
@@ -345,53 +351,50 @@ def _refine_combined(support, params, window, w0, cfg):
     """
     trivial = DiscreteMeasure(support.atoms, support.weights, support.delta,
                               {"min_gap": support.min_gap, "orbits": np.arange(support.size)})
-
-    class _Objective:
-        # The measure of the latest weights, so that its completed square
-        # serves both the energy and the subgradient.
-        _last = trivial
-
-        def _measure(self, w):
-            if not np.array_equal(self._last.weights, w):
-                self._last = trivial.with_weights(w)
-            return self._last
-
-        def energy(self, w):
-            return maximal_potential_energy(self._measure(w), params, window)
-
-        def energy_and_gradient(self, w):
-            return _combined_subgradient(self._measure(w), params, window)
-
+    objective = SimpleNamespace(
+        energy=lambda w: _combined_energy(trivial.with_weights(w), params, window),
+        gradient=_combined_gradient,
+    )
     small_cfg = OptimizerConfig(max_iters=min(cfg.max_iters, 25),
                                 tolerance=cfg.tolerance)
-    return _descend(_Objective(), w0, small_cfg)
+    return _descend(objective, w0, small_cfg)
 
 
-def _combined_subgradient(mu, params, window) -> tuple:
-    """Combined energy sum_i w_i (M_i + sqrt(pp_i)) and a subgradient.
+def _combined_energy(mu, params, window) -> tuple:
+    """(E, state): the combined energy sum_i w_i (M_i + sqrt(pp_i)) of mu.
 
-    The energy equals ``maximal_potential_energy`` bit for bit.  In the
-    weights of mu, the potential part has the derivative sqrt(pp_m) +
-    2 B(u, w)_m with u = w / (2 sqrt(pp)) (``_pp_polarized``), in
-    O(N^2 + N P) for P close pairs.
+    E equals ``maximal_potential_energy`` bit for bit.  One maximal pass
+    over every row gives both M_i and its attaining radius r*_i; the state
+    keeps them with the certified squared potentials pp for
+    ``_combined_gradient``.
     """
-    alpha = params.alpha
-    w = mu.weights
     m_vals = np.empty(mu.size)
     r_star = np.empty(mu.size)
-    for rows, vals, r in _maximal_rows(mu, alpha, window.eps, window.outer,
+    for rows, vals, r in _maximal_rows(mu, params.alpha, window.eps, window.outer,
                                        np.arange(mu.size)):
         best = np.argmax(vals, axis=1)[:, None]
         m_vals[rows] = np.take_along_axis(vals, best, axis=1)[:, 0]
         r_star[rows] = np.take_along_axis(r, best, axis=1)[:, 0]
     pp = symmetrization_potentials_sq_at_atoms(mu, params, window)
+    energy = float(np.dot(mu.weights, m_vals + np.sqrt(pp)))
+    return energy, (mu, params, window, m_vals, r_star, pp)
+
+
+def _combined_gradient(state) -> np.ndarray:
+    """A subgradient of the combined energy in the weights of mu.
+
+    The potential part has the derivative sqrt(pp_m) + 2 B(u, w)_m with
+    u = w / (2 sqrt(pp)) (``_pp_polarized``), in O(N^2 + N P) for P close
+    pairs.
+    """
+    mu, params, window, m_vals, r_star, pp = state
+    w = mu.weights
     root = np.sqrt(pp)
-    energy = float(np.dot(w, m_vals + root))
     # dM_i/dw_m = [d_im <= r*_i] / r*_i^alpha at the attaining radius.
     ind = _distance_rows(mu, slice(None)) <= r_star[:, None]
-    grad_m_term = m_vals + (w * (1.0 / r_star**alpha)) @ ind
+    grad_m_term = m_vals + (w * (1.0 / r_star**params.alpha)) @ ind
     u = np.where(root > 0.0, 0.5 * w / np.maximum(root, 1e-300), 0.0)
-    return energy, grad_m_term + root + 2.0 * _pp_polarized(mu, params, window, pp, u)
+    return grad_m_term + root + 2.0 * _pp_polarized(mu, params, window, pp, u)
 
 
 def _pp_polarized(mu, params, window, pp, left) -> np.ndarray:

@@ -296,20 +296,6 @@ def _transform_at_atoms(mu: DiscreteMeasure, alpha: float, eps: float, rows: np.
     return r, close, close_abs, s, s_abs, u, u_abs
 
 
-def riesz_transform_at_atoms(
-    mu: DiscreteMeasure, params: KernelParams, eps: float
-) -> np.ndarray:
-    """Truncated transform evaluated at every atom site, shape (N, n).
-
-    A plain pass over every row, O(N^2) with orbits or not, that
-    enumerates no close pairs and caches nothing.
-    """
-    if eps <= 0.0:
-        raise DomainError(f"eps must be positive, got {eps}")
-    _check_dims(mu, params)
-    return _transform_at_atoms(mu, params.alpha, eps, np.arange(mu.size))[0]
-
-
 def _transform_sq(mu: DiscreteMeasure, alpha: float, eps: float,
                   rows: np.ndarray) -> np.ndarray:
     """|R_m|^2 of the truncated transform at the atoms ``rows``."""

@@ -196,6 +196,8 @@ class DepthTrend:
 
     def final_relative_change(self) -> float:
         """|proxy(m_last) - proxy(m_prev)| / proxy(m_prev)."""
+        if len(self.proxies) < 2:
+            raise DomainError("a relative change needs at least two depths")
         a, b = self.proxies[-2], self.proxies[-1]
         return abs(b - a) / abs(a)
 

@@ -462,11 +462,6 @@ def _cantor_orbits(n: int, depth: int) -> np.ndarray:
     return ids
 
 
-def _orbits(mu: DiscreteMeasure) -> np.ndarray:
-    """Each atom's symmetry-orbit id: the smallest atom index in its orbit."""
-    return mu._cache.get("orbits", np.arange(mu.size))
-
-
 class _OrbitRows(NamedTuple):
     """The rows a functional of orbit-invariant weights reads.
 

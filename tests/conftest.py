@@ -10,6 +10,11 @@ def kept_matrices(mu):
     return [a for a in entries if np.shape(a) == (mu.size, mu.size)]
 
 
+def orbit_ids(mu):
+    """Each atom's symmetry-orbit id: the smallest atom index in its orbit."""
+    return mu._cache.get("orbits", np.arange(mu.size))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import kept_matrices, make_random_measure
+from conftest import kept_matrices, make_random_measure, orbit_ids
 from rieszcap import capacity, energies, measures
 from rieszcap.capacity import (
     METHOD_ENERGY,
@@ -169,7 +169,8 @@ class TestWolffObjective:
         mu, window = make_support(rng)
         objective = _WolffObjective(mu, WolffExponents(s=1.5 / p, p=p, n=2), window)
         w = rng.uniform(0.5, 1.5, mu.size) / mu.size
-        energy, grad = objective.energy_and_gradient(w)
+        energy, state = objective.energy(w)
+        grad = objective.gradient(state)
         assert energy == pytest.approx(wolff_energy(mu.with_weights(w), objective.exps, window),
                                        rel=1e-12)
         h = 1e-6 / mu.size
@@ -177,25 +178,25 @@ class TestWolffObjective:
         for m in range(mu.size):
             step = np.zeros(mu.size)
             step[m] = h
-            fd[m] = (objective.energy(w + step) - objective.energy(w - step)) / (2.0 * h)
+            fd[m] = (objective.energy(w + step)[0] - objective.energy(w - step)[0]) / (2.0 * h)
         np.testing.assert_allclose(fd, grad, rtol=1e-6, atol=1e-9 * np.abs(grad).max())
 
     @RANDOM_WEIGHT_SUPPORTS
     @pytest.mark.parametrize("p", [2.0, 1.5, 1.25])
-    def test_warm_gradient_is_bit_equal_to_cold(self, rng, make_support, p):
+    def test_gradient_reads_only_its_state(self, rng, make_support, p):
+        # Evaluations at other weights in between leave a state's gradient
+        # bit for bit that of a fresh objective.
         mu, window = make_support(rng)
         exps = WolffExponents(s=1.5 / p, p=p, n=2)
         w = rng.uniform(0.5, 1.5, mu.size) / mu.size
-        warm = _WolffObjective(mu, exps, window)
-        e_warm = warm.energy(w)
-        energy, grad = warm.energy_and_gradient(w)
-        cold_energy, cold_grad = _WolffObjective(mu, exps, window).energy_and_gradient(w)
-        assert energy == e_warm == cold_energy
-        assert np.array_equal(grad, cold_grad)
-        # A pass at other weights is not reused.
-        warm.energy(project_to_simplex(w[::-1]))
-        again = warm.energy_and_gradient(w)
-        assert again[0] == cold_energy and np.array_equal(again[1], cold_grad)
+        objective = _WolffObjective(mu, exps, window)
+        energy, state = objective.energy(w)
+        other = project_to_simplex(w[::-1])
+        objective.gradient(objective.energy(other)[1])
+        fresh = _WolffObjective(mu, exps, window)
+        fresh_energy, fresh_state = fresh.energy(w)
+        assert energy == fresh_energy
+        assert np.array_equal(objective.gradient(state), fresh.gradient(fresh_state))
 
     @RANDOM_WEIGHT_SUPPORTS
     def test_matches_cubic_form_oracle(self, rng, make_support):
@@ -203,7 +204,8 @@ class TestWolffObjective:
         alpha = 0.5
         objective = _WolffObjective(mu, WolffExponents.matched(KernelParams(alpha, 2)), window)
         w = rng.uniform(0.0, 2.0, mu.size) / mu.size
-        energy, grad = objective.energy_and_gradient(w)
+        energy, state = objective.energy(w)
+        grad = objective.gradient(state)
         ref_energy, ref_grad = wolff_cubic_form(mu.with_weights(w), alpha, window)
         assert energy == pytest.approx(ref_energy, rel=1e-12)
         np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=0.0)
@@ -222,12 +224,14 @@ class TestOrbitObjective:
         exps = WolffExponents.matched(KernelParams(alpha, n))
         reduced = _WolffObjective(mu, exps, window)
         assert len(reduced.reps) < mu.size
-        ids = np.unique(measures._orbits(mu), return_inverse=True)[1]
+        ids = np.unique(orbit_ids(mu), return_inverse=True)[1]
         w = rng.uniform(0.2, 1.8, ids.max() + 1)[ids] / mu.size
-        energy, grad = reduced.energy_and_gradient(w)
-        assert reduced.energy(w) == energy
+        energy, state = reduced.energy(w)
+        grad = reduced.gradient(state)
         plain = _orbit_free(mu)
-        ref_energy, ref_grad = _WolffObjective(plain, exps, window).energy_and_gradient(w)
+        objective = _WolffObjective(plain, exps, window)
+        ref_energy, ref_state = objective.energy(w)
+        ref_grad = objective.gradient(ref_state)
         assert energy == pytest.approx(ref_energy, rel=1e-12)
         np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=0.0)
         if mu.size <= 64:
@@ -239,12 +243,10 @@ class TestOrbitObjective:
         mu = cantor_measure(cantor_spec_for_dimension(2, 0.75, 2))
         objective = _WolffObjective(mu, MATCHED, TruncationWindow(mu.delta))
         w = np.full(mu.size, 1.0 / mu.size)
-        objective.energy_and_gradient(w)
+        objective.gradient(objective.energy(w)[1])
         w[1] = np.nextafter(w[1], 1.0)
         with pytest.raises(DomainError):
             objective.energy(w)
-        with pytest.raises(DomainError):
-            objective.energy_and_gradient(w)
 
     def test_optimizer_matches_orbit_free_copy(self):
         mu = cantor_measure(cantor_spec_for_dimension(3, 1.5, 2))
@@ -260,7 +262,7 @@ class TestOrbitObjective:
         np.testing.assert_allclose(reduced.witness.weights, plain.witness.weights,
                                    rtol=1e-12, atol=0.0)
         # Every iterate is bitwise constant on the orbits.
-        ids = measures._orbits(mu)
+        ids = orbit_ids(mu)
         assert np.array_equal(reduced.witness.weights[ids], reduced.witness.weights)
 
     def test_support_weights_do_not_change_the_orbits(self, rng):
@@ -277,6 +279,86 @@ class TestOrbitObjective:
         assert got.diagnostics["orbits"] == want.diagnostics["orbits"] == 4.0
         assert got.value == want.value
         assert np.array_equal(got.witness.weights, want.witness.weights)
+
+
+class _Recorded:
+    """An objective that records its energy evaluations and the evaluation
+    whose state each gradient reads."""
+
+    def __init__(self, objective):
+        self.objective = objective
+        self.energies = []
+        self.gradients = []
+
+    def energy(self, w):
+        energy, state = self.objective.energy(w)
+        self.energies.append(energy)
+        return energy, (len(self.energies) - 1, state)
+
+    def gradient(self, state):
+        evaluation, inner = state
+        self.gradients.append(evaluation)
+        return self.objective.gradient(inner)
+
+
+class _Quadratic:
+    """|w - p|^2 + 1: from (0.6, 0.3, 0.1) its scale-free first steps
+    overshoot p, so the line search backtracks."""
+
+    p = np.array([0.2, 0.3, 0.5])
+
+    def energy(self, w):
+        return float(np.dot(w - self.p, w - self.p)) + 1.0, w
+
+    def gradient(self, w):
+        return 2.0 * (w - self.p)
+
+
+class TestDescentProtocol:
+    @pytest.mark.parametrize("case", ["wolff", "backtracking"])
+    def test_gradient_only_at_the_start_and_accepted_steps(self, rng, case):
+        if case == "wolff":
+            mu = make_random_measure(rng, 10)
+            objective = _WolffObjective(mu, MATCHED, TruncationWindow(0.05))
+            w0 = np.full(mu.size, 1.0 / mu.size)
+        else:
+            objective, w0 = _Quadratic(), np.array([0.6, 0.3, 0.1])
+        recorded = _Recorded(objective)
+        w, energy, diag = capacity._descend(recorded, w0, OptimizerConfig())
+        # A trial is accepted when it lowers the latest accepted energy.
+        accepted = [0]
+        for k, e in enumerate(recorded.energies[1:], 1):
+            if e < recorded.energies[accepted[-1]]:
+                accepted.append(k)
+        assert recorded.gradients == accepted
+        assert len(recorded.energies) - len(accepted) == diag["backtracks"]
+        assert energy == recorded.energies[accepted[-1]]
+        if case == "backtracking":
+            assert diag["backtracks"] > 0
+        assert diag["iterations"] >= 2
+
+    def test_refinement_makes_one_maximal_pass_per_evaluation(self, rng, monkeypatch):
+        mu = make_random_measure(rng, 8)
+        calls = {"passes": 0, "trials": 0}
+        maximal_rows = measures._maximal_rows
+        project = capacity.project_to_simplex
+
+        def counted_rows(*args):
+            calls["passes"] += 1
+            return maximal_rows(*args)
+
+        def counted_project(v):
+            calls["trials"] += 1
+            return project(v)
+
+        monkeypatch.setattr(measures, "_maximal_rows", counted_rows)
+        monkeypatch.setattr(capacity, "_maximal_rows", counted_rows)
+        monkeypatch.setattr(capacity, "project_to_simplex", counted_project)
+        w0 = np.linspace(1.0, 2.0, mu.size)
+        _, _, diag = capacity._refine_combined(mu, P2, TruncationWindow(0.08), w0 / w0.sum(),
+                                               OptimizerConfig())
+        assert diag["iterations"] >= 2
+        assert calls["passes"] == calls["trials"] + 1
 
 
 class TestPositiveCapacity:
@@ -322,11 +404,12 @@ class TestPositiveCapacity:
         # Every weight vector completes its square once: a line-search trial
         # and the gradient at the accepted trial share it, and so do the
         # two auxiliary squares that each gradient builds by polarization.
+        # The combined energy is evaluated at the start and at each trial.
         mu = make_random_measure(rng, 8)
         window = TruncationWindow(0.08)
         squares = []
         calls = {"combined": 0, "trials": 0}
-        combined = capacity.maximal_potential_energy
+        combined = capacity._combined_energy
         transform = energies._transform_at_atoms
         project = capacity.project_to_simplex
 
@@ -342,21 +425,22 @@ class TestPositiveCapacity:
             calls["trials"] += 1
             return project(v)
 
-        monkeypatch.setattr(capacity, "maximal_potential_energy", counted_combined)
+        monkeypatch.setattr(capacity, "_combined_energy", counted_combined)
         monkeypatch.setattr(energies, "_transform_at_atoms", counted_transform)
         monkeypatch.setattr(capacity, "project_to_simplex", counted_project)
         w0 = np.linspace(1.0, 2.0, mu.size)
         _, _, diag = capacity._refine_combined(mu, P2, window, w0 / w0.sum(), OptimizerConfig())
         assert diag["iterations"] >= 2
         assert len(squares) == len(set(squares))
-        assert calls["combined"] == calls["trials"]
+        assert calls["combined"] == calls["trials"] + 1
 
     def test_subgradient_without_potential(self):
         # Every squared potential vanishes, so the bilinear term's left
         # weights are all zero: no zero-mass measure may be built.
         mu, eps = _cancelling_measure()
         window = TruncationWindow(eps)
-        energy, grad = capacity._combined_subgradient(mu, P2, window)
+        energy, state = capacity._combined_energy(mu, P2, window)
+        grad = capacity._combined_gradient(state)
         assert energy == maximal_potential_energy(mu, P2, window)
         assert np.all(np.isfinite(grad))
 
@@ -375,7 +459,8 @@ class TestPositiveCapacity:
             assert top[1] - top[0] > 1e-3 * top[1]
         nu = mu.with_weights(w)
         assert np.all(symmetrization_potentials_sq_at_atoms(nu, P2, window) > 0.0)
-        energy, grad = capacity._combined_subgradient(nu, P2, window)
+        energy, state = capacity._combined_energy(nu, P2, window)
+        grad = capacity._combined_gradient(state)
         assert energy == maximal_potential_energy(nu, P2, window)
         h = 1e-6
         for _ in range(3):
@@ -549,3 +634,11 @@ class TestDepthTrend:
             DepthTrend.from_points(points)
         with pytest.raises(DomainError):
             DepthTrend.from_points([])
+
+    def test_one_depth_has_no_fit_and_no_relative_change(self):
+        point = sweep_point(0.5, 0.5, 2)
+        for trend in (DepthTrend.from_points([point]), depth_trend(0.5, 1.0, depths=(2,))):
+            with pytest.raises(DomainError):
+                trend.wolff_fit()
+            with pytest.raises(DomainError):
+                trend.final_relative_change()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import kept_matrices, make_random_measure
+from conftest import kept_matrices, make_random_measure, orbit_ids
 from rieszcap import energies, measures
 from rieszcap.capacity import (
     OptimizerConfig,
@@ -26,7 +26,6 @@ from rieszcap.energies import (
     maximal_potential_energy,
     maximal_potential_values,
     riesz_l2_energy,
-    riesz_transform_at_atoms,
     symmetrization_energy,
     symmetrization_potential_sq,
     symmetrization_potentials_sq_at_atoms,
@@ -230,7 +229,6 @@ class TestDistanceRowsOnDemand:
             values = [
                 symmetrization_energy(mu, params, window),
                 riesz_l2_energy(mu, params, eps),
-                riesz_transform_at_atoms(mu, params, eps),
                 truncated_riesz_transform(mu, x, params, eps),
                 symmetrization_potentials_sq_at_atoms(mu, params, window),
                 symmetrization_potential_sq(mu, x, params, window),
@@ -351,7 +349,7 @@ class TestTruncatedTransform:
 
     def test_batch_matches_pointwise(self, rng):
         mu = make_random_measure(rng, 14)
-        batch = riesz_transform_at_atoms(mu, P2, 0.1)
+        batch = energies._transform_at_atoms(mu, P2.alpha, 0.1, np.arange(mu.size))[0]
         for i, x in enumerate(mu.atoms):
             single = truncated_riesz_transform(mu, x, P2, 0.1)
             assert np.allclose(batch[i], single, rtol=1e-12, atol=1e-15)
@@ -599,10 +597,6 @@ class TestSquareCache:
         assert calls == {"_direct_potential_sq": mu.size}
         assert np.array_equal(again, symmetrization_potentials_sq_at_atoms(_fresh(mu), P2, window))
         assert energy == symmetrization_energy(_fresh(mu), P2, window)
-        r = riesz_transform_at_atoms(mu, P2, eps)
-        r[:] = 1.0
-        assert np.array_equal(riesz_transform_at_atoms(mu, P2, eps),
-                              riesz_transform_at_atoms(_fresh(mu), P2, eps))
 
     def test_other_weights_do_not_see_the_entry(self, rng):
         mu, eps = _close_pair_case(rng, "random")
@@ -769,7 +763,7 @@ class TestDoubleSum:
     def test_ball_rows_constant_on_orbits(self):
         mu = cantor_measure(cantor_spec_for_dimension(2, 0.9, 2))
         rows = energies._ball_mass_rows(mu, KernelParams(0.75, 2), TruncationWindow(mu.delta))
-        ids = measures._orbits(mu)
+        ids = orbit_ids(mu)
         np.testing.assert_allclose(rows, rows[ids], rtol=1e-12, atol=0.0)
 
 
@@ -778,7 +772,6 @@ ORBIT_SUPPORTS = {"n1": (1, 0.6, 5), "n2": (2, 0.75, 3), "n3": (3, 1.5, 2)}
 ORBIT_FUNCTIONALS = {
     "symmetrization_energy": lambda m, p, w: symmetrization_energy(m, p, w),
     "riesz_l2_energy": lambda m, p, w: riesz_l2_energy(m, p, w.eps),
-    "riesz_transform_at_atoms": lambda m, p, w: riesz_transform_at_atoms(m, p, w.eps),
     "potentials_sq": lambda m, p, w: symmetrization_potentials_sq_at_atoms(m, p, w),
     "wolff_potentials": lambda m, p, w: energies.wolff_potentials_at_atoms(
         m, energies.WolffExponents.matched(p), w),
@@ -836,7 +829,7 @@ class TestOrbitReduction:
         orbits = measures._orbit_rows(mu)
         assert len(orbits.reps) < mu.size
         # The every-row transform is the pointwise transform at each atom.
-        r = riesz_transform_at_atoms(mu, KernelParams(0.5, 3), 2.0 * mu.delta)
+        r = energies._transform_at_atoms(mu, 0.5, 2.0 * mu.delta, np.arange(mu.size))[0]
         direct = np.array([truncated_riesz_transform(mu, x, KernelParams(0.5, 3), 2.0 * mu.delta)
                            for x in mu.atoms])
         np.testing.assert_allclose(r, direct, rtol=1e-12, atol=1e-12 * np.abs(direct).max())

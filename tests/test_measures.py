@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import kept_matrices, make_random_measure
+from conftest import kept_matrices, make_random_measure, orbit_ids
 from rieszcap import capacity, energies, measures
 from rieszcap.capacity import OptimizerConfig, chebyshev_restrict, comparability_report
 from rieszcap.energies import (
@@ -170,7 +170,7 @@ class TestDistanceGeometry:
     @staticmethod
     def _assert_rows_match(mu):
         d = mu.distance_matrix()
-        reps = np.unique(measures._orbits(mu))
+        reps = np.unique(orbit_ids(mu))
         for rows in (slice(None), slice(3, mu.size - 2), slice(5, 6), slice(4, 4),
                      reps, np.array([mu.size - 1, 0, 2]), np.array([7]),
                      np.array([], dtype=int)):
@@ -195,7 +195,7 @@ class TestDistanceGeometry:
 
     def test_representative_rows_are_built_once(self, monkeypatch):
         mu = cantor_measure(CantorSpec(n=2, ratio=0.25, depth=3))
-        reps = np.unique(measures._orbits(mu))
+        reps = np.unique(orbit_ids(mu))
         built = []
         squared = measures._squared_distances
 
@@ -224,7 +224,7 @@ class TestDistanceGeometry:
 
     def test_consecutive_representatives_are_a_view(self):
         mu = cantor_measure(CantorSpec(n=2, ratio=0.25, depth=3))
-        reps = np.unique(measures._orbits(mu))
+        reps = np.unique(orbit_ids(mu))
         want = _einsum_distances(mu.atoms)
         got = measures._distance_rows(mu, reps[2:5])
         _, at_reps = mu._cache["rep_rows"]
@@ -435,7 +435,7 @@ class TestCantorOrbits:
         n, dim = family
         spec = cantor_spec_for_dimension(n, dim, depth, base=1.7, offset=np.linspace(-0.4, 0.9, n))
         mu = cantor_measure(spec)
-        ids = measures._orbits(mu)
+        ids = orbit_ids(mu)
         assert np.array_equal(ids[ids], ids) and np.all(ids <= np.arange(mu.size))
         center = 0.5 * spec.base + np.asarray(spec.offset)
         reached = [set() for _ in range(mu.size)]
@@ -452,14 +452,14 @@ class TestCantorOrbits:
     @pytest.mark.parametrize("family", ORBIT_FAMILIES, ids=["n1", "n2", "n3"])
     def test_orbit_members_share_sorted_distance_rows(self, family, depth):
         mu = cantor_measure(cantor_spec_for_dimension(*family, depth))
-        ids = measures._orbits(mu)
+        ids = orbit_ids(mu)
         rows = np.sort(mu.distance_matrix(), axis=1)
         np.testing.assert_allclose(rows, rows[ids], rtol=1e-14, atol=0.0)
 
     def test_orbit_counts(self):
         # The hyperoctahedral group has order 2, 8 and 48 for n = 1, 2, 3.
         counts = {
-            (n, depth): len(np.unique(measures._orbits(
+            (n, depth): len(np.unique(orbit_ids(
                 cantor_measure(cantor_spec_for_dimension(n, dim, depth)))))
             for n, dim in ORBIT_FAMILIES for depth in (0, 1, 2, 3)
         }
@@ -471,11 +471,11 @@ class TestCantorOrbits:
 
     def test_translation_and_dilation_keep_orbits(self, rng):
         mu = cantor_measure(cantor_spec_for_dimension(2, 0.75, 3))
-        ids = measures._orbits(mu)
+        ids = orbit_ids(mu)
         assert len(np.unique(ids)) < mu.size
         moved = mu.translated([0.3, -1.2]).dilated(2.5)
-        assert measures._orbits(moved) is ids
-        assert measures._orbits(moved.with_weights(rng.uniform(0.1, 1.0, mu.size))) is ids
+        assert orbit_ids(moved) is ids
+        assert orbit_ids(moved.with_weights(rng.uniform(0.1, 1.0, mu.size))) is ids
         # The moved atoms keep the symmetries about the moved center.
         center = 2.5 * (np.array([0.5, 0.5]) + [0.3, -1.2])
         for perm, signs in _cube_symmetries(2):
@@ -502,9 +502,9 @@ class TestCantorOrbits:
             chebyshev_restrict(mu, np.ones(mu.size), 1.0),
         ]
         for nu in built:
-            assert np.array_equal(measures._orbits(nu), singleton)
+            assert np.array_equal(orbit_ids(nu), singleton)
         union = merge_measures(mu, mu.translated([3.0, 0.0]))
-        assert np.array_equal(measures._orbits(union), np.arange(union.size))
+        assert np.array_equal(orbit_ids(union), np.arange(union.size))
         supports = []
         optimize = capacity.minimize_wolff_energy
 
@@ -516,7 +516,7 @@ class TestCantorOrbits:
         capacity.bilipschitz_experiment(mu, "rotation", 0.5, TruncationWindow(mu.delta),
                                         OptimizerConfig(max_iters=5))
         # Both sides of the experiment run on singleton orbits.
-        assert [np.array_equal(measures._orbits(nu), singleton) for nu in supports] == [True] * 2
+        assert [np.array_equal(orbit_ids(nu), singleton) for nu in supports] == [True] * 2
 
 
 class TestBallProfile:
@@ -770,7 +770,7 @@ class TestSerialization:
         assert json.loads(text)["cantor"] == {"n": 2, "ratio": spec.ratio, "depth": 3,
                                               "base": 1.0, "offset": [0.0, 0.0]}
         back = measure_from_json(text)
-        assert np.array_equal(measures._orbits(back), measures._orbits(mu))
+        assert np.array_equal(orbit_ids(back), orbit_ids(mu))
         assert len(measures._orbit_rows(back).reps) == 10
         assert measure_to_json(back) == measure_to_json(mu)
 
@@ -779,12 +779,12 @@ class TestSerialization:
         doc = json.loads(measure_to_json(cantor_measure(spec), cantor=spec))
         doc["atoms"][5][0] = float(np.nextafter(doc["atoms"][5][0], 1.0))
         back = measure_from_json(json.dumps(doc))
-        assert np.array_equal(measures._orbits(back), np.arange(64))
+        assert np.array_equal(orbit_ids(back), np.arange(64))
         doc = json.loads(measure_to_json(cantor_measure(spec), cantor=spec))
         for depth in (2, 40):
             doc["cantor"]["depth"] = depth
             back = measure_from_json(json.dumps(doc))
-            assert np.array_equal(measures._orbits(back), np.arange(64))
+            assert np.array_equal(orbit_ids(back), np.arange(64))
 
     def test_cantor_key_above_the_default_cap(self):
         # A file that `gen --max-atoms` writes above the default cap keeps
