@@ -52,7 +52,7 @@ from .measures import (
     _check_bytes,
     _distance_rows,
     _extreme_pair_distance,
-    _maximal_rows,
+    _ratios,
     _row_order,
     _sorted_rows,
     _symmetry_orbits,
@@ -348,7 +348,11 @@ def _refine_combined(support, params, window, w0, cfg):
     one rule for kept rows (``measures._distance_rows``), the copy keeps
     every distance row and their order (8 N^2 bytes each), built once and
     shared by every iterate, and frees them when the descent returns.
+    Each subgradient adds an N x N closed-ball mask and the float64 copy
+    that its product takes (9 N^2 bytes), so the descent is refused up
+    front above 25 N^2 bytes.
     """
+    _check_bytes(25 * support.size * support.size, "the refinement's N x N arrays")
     trivial = DiscreteMeasure(support.atoms, support.weights, support.delta,
                               {"min_gap": support.min_gap, "orbits": np.arange(support.size)})
     objective = SimpleNamespace(
@@ -368,14 +372,16 @@ def _combined_energy(mu, params, window) -> tuple:
     keeps them with the certified squared potentials pp for
     ``_combined_gradient``.
     """
+    # The squared potentials first: the maximal pass's last row block
+    # outlives its loop.
+    pp = symmetrization_potentials_sq_at_atoms(mu, params, window)
     m_vals = np.empty(mu.size)
     r_star = np.empty(mu.size)
-    for rows, vals, r in _maximal_rows(mu, params.alpha, window.eps, window.outer,
-                                       np.arange(mu.size)):
+    for rows, near, sorted_d in _sorted_rows(mu, np.arange(mu.size)):
+        vals, r = _ratios(near, sorted_d, params.alpha, window.eps, window.outer)
         best = np.argmax(vals, axis=1)[:, None]
         m_vals[rows] = np.take_along_axis(vals, best, axis=1)[:, 0]
         r_star[rows] = np.take_along_axis(r, best, axis=1)[:, 0]
-    pp = symmetrization_potentials_sq_at_atoms(mu, params, window)
     energy = float(np.dot(mu.weights, m_vals + np.sqrt(pp)))
     return energy, (mu, params, window, m_vals, r_star, pp)
 

@@ -12,7 +12,8 @@ verify    run the property-test battery
 The CLI is a thin shell over the library: every number it emits is
 available through plain function calls.  Every setting is a flag whose
 default lives on the parser; the optimizer settings are fixed per command
-(``capacity``: 200 iterations, tolerance 1e-8, as in the library sweep;
+(``capacity``: the library sweep's ``SWEEP_OPTIMIZER``, 200 iterations at
+tolerance 1e-8;
 ``compare`` and ``bilip``: the ``OptimizerConfig`` defaults).  All
 randomized steps take an explicit seed and identical invocations produce
 byte-identical files.
@@ -134,22 +135,16 @@ def cmd_energy(args) -> int:
 def cmd_capacity(args) -> int:
     import math
 
-    from .capacity import (
-        METHOD_ENERGY,
-        METHOD_WOLFF,
-        OptimizerConfig,
-        comparability_report,
-    )
+    from .capacity import METHOD_ENERGY, METHOD_WOLFF, comparability_report
     from .energies import TruncationWindow
-    from .experiments import CAPACITY_CSV_COLUMNS, comparability_sweep
+    from .experiments import CAPACITY_CSV_COLUMNS, SWEEP_OPTIMIZER, comparability_sweep
 
-    opt = OptimizerConfig(max_iters=200, tolerance=1e-8)
     rows = []
     if args.measure:
         mu = _measure(args)
         eps = _eps(args, mu)
         for alpha in _floats(args.alpha):
-            rep = comparability_report(mu, alpha, TruncationWindow(eps), opt)
+            rep = comparability_report(mu, alpha, TruncationWindow(eps), SWEEP_OPTIMIZER)
             diag = rep.wolff_proxy.diagnostics
             status = "ok" if diag["converged"] >= 1.0 else "max-iters"
             for est in (rep.energy_proxy, rep.wolff_proxy):
@@ -158,7 +153,7 @@ def cmd_capacity(args) -> int:
                              diag["iterations"], status))
     else:
         for p in comparability_sweep(_floats(args.alpha), _floats(args.dim_factors),
-                                     _ints(args.depths), n=args.n, cfg=opt):
+                                     _ints(args.depths), n=args.n):
             status = "ok" if p.converged >= 1.0 else "max-iters"
             rows.append((p.set_id, p.n, p.alpha, p.dimension, p.depth, p.eps,
                          METHOD_ENERGY, p.energy_proxy,

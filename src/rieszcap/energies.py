@@ -80,12 +80,12 @@ from .measures import (
     _DISTANCE_BLOCK_BYTES,
     _EXTREME_RTOL,
     DiscreteMeasure,
+    _built_rows,
     _check_bytes,
     _distance_rows,
     _orbit_rows,
+    _sort_rows,
     _sorted_rows,
-    _squared_distances,
-    ball_profile,
     maximal_at_atoms,
     maximal_function,
 )
@@ -176,45 +176,47 @@ def _row_block(n_atoms: int, n_dim: int) -> int:
 
 
 def _kernel_rows(mu: DiscreteMeasure, alpha: float, eps: float, rows) -> np.ndarray:
-    """K[m, j] = k_a(x_j - x_{rows[m]}) where d > eps, and zero where d <= eps."""
-    x = mu.atoms
-    diffs = x[None, :, :] - x[rows, None, :]
-    d = _distance_rows(mu, rows)
+    """K[m, j] = k_a(x_j - x_{rows[m]}) where d > eps, and zero where d <= eps:
+    the legs (``_legs``) of the atoms ``rows`` on their distance rows."""
+    return _legs(mu, alpha, eps, mu.atoms[rows], _distance_rows(mu, rows))
+
+
+def _legs(mu: DiscreteMeasure, alpha: float, eps: float, sources: np.ndarray,
+          d: np.ndarray) -> np.ndarray:
+    """K[m, j] = k_a(x_j - sources[m]) where d > eps, and zero where d <= eps,
+    for any points ``sources`` with distance rows ``d`` to every atom."""
+    diffs = mu.atoms[None, :, :] - sources[:, None, :]
     with np.errstate(divide="ignore"):
         scale = d ** (-(1.0 + alpha))
     scale[d <= eps] = 0.0
     return diffs * scale[:, :, None]
 
 
-def _kernel_from_point(mu: DiscreteMeasure, x: np.ndarray, alpha: float):
-    """Kernel legs k_a(x_j - x) for every atom, plus the distances."""
-    diffs = mu.atoms - x[None, :]
-    d = np.linalg.norm(diffs, axis=1)
-    with np.errstate(divide="ignore"):
-        scale = d ** (-(1.0 + alpha))
-    scale[d == 0.0] = 0.0
-    return diffs * scale[:, None], d
-
-
-def _close_pairs(mu: DiscreteMeasure, eps: float) -> np.ndarray:
-    """Unordered atom pairs (a, b), a < b, with 0 < distance <= eps.
+def _close_pairs(mu: DiscreteMeasure, eps: float):
+    """Unordered atom pairs (a, b), a < b, with 0 < distance <= eps, or
+    None when they are dense: more than N^2 / 4 of them.
 
     Below the min gap's band (``measures._EXTREME_RTOL``) no distance
     between two atoms can be at most eps, so there are none and no
     distance row is built.  From the band on, the distance rows are
     scanned in blocks, so a distance that ties eps is read as
     ``measures._distance_rows`` rounds it; the pairs come in row-major
-    order.
+    order.  The scan stops as soon as the pairs are dense, so at most
+    about N^2 / 4 are ever held.
     """
     if eps < mu.min_gap * (1.0 - _EXTREME_RTOL):
         return np.empty((0, 2), dtype=np.intp)
     parts = []
+    count, dense = 0, mu.size * mu.size // 4
     block = max(1, _DISTANCE_BLOCK_BYTES // (8 * mu.size))
     for i0 in range(0, mu.size, block):
         # The block's pairs a < b lie in the columns from i0 on.
         a, b = np.nonzero(_distance_rows(mu, slice(i0, i0 + block), i0) <= eps)
         upper = a < b
         parts.append(np.stack([a[upper], b[upper]], axis=1) + i0)
+        count += len(parts[-1])
+        if count > dense:
+            return None
     return np.concatenate(parts)
 
 
@@ -226,14 +228,14 @@ def _close_pairs(mu: DiscreteMeasure, eps: float) -> np.ndarray:
 def truncated_riesz_transform(
     mu: DiscreteMeasure, x, params: KernelParams, eps: float
 ) -> np.ndarray:
-    """Sum of w_j k_a(x_j - x) over atoms strictly farther than eps from x."""
+    """Sum of w_j k_a(x_j - x) over atoms strictly farther than eps from x:
+    one row of ``_transform_at_atoms``, the same bits at an atom."""
     if eps <= 0.0:
         raise DomainError(f"eps must be positive, got {eps}")
     _check_dims(mu, params)
-    p = as_point(x, mu.n)
-    kernels, d = _kernel_from_point(mu, p, params.alpha)
-    wv = np.where(d > eps, mu.weights, 0.0)
-    return np.einsum("jn,j->n", kernels, wv)
+    p = as_point(x, mu.n)[None]
+    legs = _legs(mu, params.alpha, eps, p, _built_rows(p, mu.atoms))
+    return np.einsum("mjn,j->mn", legs, mu.weights)[0]
 
 
 def _transform_at_atoms(mu: DiscreteMeasure, alpha: float, eps: float, rows: np.ndarray,
@@ -426,7 +428,7 @@ def _build_square(mu: DiscreteMeasure, alpha: float, eps: float) -> _Square:
     orbits = _orbit_rows(mu)
     reps = orbits.reps
     pairs = _close_pairs(mu, eps)
-    if len(pairs) > mu.size * mu.size // 4:
+    if pairs is None:
         sq = _transform_sq(mu, alpha, eps, reps)
         gram, cross = np.zeros(len(reps)), np.zeros(len(reps))
         redo = np.arange(len(reps))
@@ -434,9 +436,9 @@ def _build_square(mu: DiscreteMeasure, alpha: float, eps: float) -> _Square:
         sq, gram, cross, magnitude = _square_sums(mu, alpha, eps, pairs, orbits)
         redo = np.flatnonzero(np.abs(gram + cross) <= CERTIFICATE_TAU * magnitude)
     for m in redo:
-        legs = _kernel_rows(mu, alpha, eps, reps[m : m + 1])[0]
-        dist = _distance_rows(mu, reps[m : m + 1])[0]
-        gram[m], cross[m] = _direct_potential_sq(mu, legs, dist, alpha, eps)
+        dist = _distance_rows(mu, reps[m : m + 1])
+        legs = _legs(mu, alpha, eps, mu.atoms[reps[m : m + 1]], dist)
+        gram[m], cross[m] = _direct_potential_sq(mu, legs[0], dist[0], alpha, eps)
     square = _Square(sq[orbits.index], gram[orbits.index], cross[orbits.index])
     for array in square:
         array.setflags(write=False)
@@ -497,15 +499,15 @@ def wolff_potential(
     """Truncated Wolff potential at x, evaluated in closed form.
 
     Integrates (m(r)/r^trace)^dual_exp dr/r over [eps, outer] piece by piece:
-    between ball-profile breakpoints the integrand is an exact power of r.
-    Monotone nondecreasing as eps decreases; finite for every eps > 0 even
-    at atom sites, where the untruncated integral diverges.
+    between atom distances the integrand is an exact power of r.  Monotone
+    nondecreasing as eps decreases; finite for every eps > 0 even at atom
+    sites, where the untruncated integral diverges.  One row of
+    ``wolff_potentials_at_atoms``: the same bits at an atom.
     """
     beta = _wolff_beta(exps)
-    prof = ball_profile(mu, x)
-    drop = _wolff_drops(prof.radii[None, :], beta, window)[0]
-    terms = np.where(prof.masses > 0.0, prof.masses, 0.0) ** exps.dual_exp * drop / beta
-    return float(terms.sum())
+    p = as_point(x, mu.n)[None]
+    near, sorted_d = _sort_rows(mu.weights, _built_rows(p, mu.atoms))
+    return float(_wolff_sums(near, _wolff_drops(sorted_d, beta, window), exps, beta)[0])
 
 
 def _wolff_drops(sorted_d: np.ndarray, beta: float, window: TruncationWindow) -> np.ndarray:
@@ -518,6 +520,14 @@ def _wolff_drops(sorted_d: np.ndarray, beta: float, window: TruncationWindow) ->
         return lo ** (-beta) - np.where(np.isinf(hi), 0.0, hi ** (-beta))
 
 
+def _wolff_sums(near: np.ndarray, drop: np.ndarray, exps: WolffExponents,
+                beta: float) -> np.ndarray:
+    """The Wolff potential at the center of each sorted row
+    (``measures._sort_rows``), summed over its pieces' drops."""
+    cum = np.cumsum(near, axis=1)
+    return (cum**exps.dual_exp * drop / beta).sum(axis=1)
+
+
 def wolff_potentials_at_atoms(
     mu: DiscreteMeasure, exps: WolffExponents, window: TruncationWindow
 ) -> np.ndarray:
@@ -527,9 +537,8 @@ def wolff_potentials_at_atoms(
     orbits = _orbit_rows(mu)
     out = np.empty(len(orbits.reps))
     for rows, near, sorted_d in _sorted_rows(mu, orbits.reps):
-        cum = np.cumsum(near, axis=1)
         drop = _wolff_drops(sorted_d, beta, window)
-        out[rows] = (cum**exps.dual_exp * drop / beta).sum(axis=1)
+        out[rows] = _wolff_sums(near, drop, exps, beta)
     return out[orbits.index]
 
 
@@ -553,13 +562,15 @@ def symmetrization_potential_sq(
     Sums w_j w_k sym(x, x_j, x_k) over ordered pairs of distinct atoms, both
     strictly farther than eps from x and mutually separated by more than
     eps.  This is the SQUARE of the potential entering the combined energy;
-    take its square root for the potential itself.
+    take its square root for the potential itself.  At an atom, the same
+    bits as the completed square's direct recompute there.
     """
     _require_alpha_in(params, 1.0)
     _check_dims(mu, params)
-    p = as_point(x, mu.n)
-    kernels, dist = _kernel_from_point(mu, p, params.alpha)
-    base, cross = _direct_potential_sq(mu, kernels, dist, params.alpha, window.eps)
+    p = as_point(x, mu.n)[None]
+    dist = _built_rows(p, mu.atoms)
+    legs = _legs(mu, params.alpha, window.eps, p, dist)
+    base, cross = _direct_potential_sq(mu, legs[0], dist[0], params.alpha, window.eps)
     value = base + cross
     # Each admissible pair contributes a positive term for alpha < 1, so a
     # tiny negative total is pure float noise.
@@ -573,17 +584,16 @@ def _direct_potential_sq(
 ) -> tuple:
     """Center-leg and cross parts of the squared potential at one point.
 
-    ``legs`` and ``dist`` hold k_a(x_j - x) and |x_j - x| for every atom;
+    ``legs`` and ``dist`` are x's kernel legs (``_legs``) and distance row;
     both parts are summed directly over the positively weighted atoms
-    farther than eps from x, in O(S^2) for S such atoms.  Their S x S
-    distances, the Gram matrix and its masked copy are held at once.
+    farther than eps from x, in O(S^2) for S (possibly no) such atoms.
+    Their S x S distances (``measures._built_rows``), the Gram matrix and
+    its masked copy are held at once.
     """
     seen = np.flatnonzero((dist > eps) & (mu.weights > 0.0))
     legs, wv, x = legs[seen], mu.weights[seen], mu.atoms[seen]
     _check_bytes(3 * 8 * len(seen) ** 2, "the direct squared potential")
-    # The same elementwise arithmetic as ``_distance_rows``, on the seen
-    # atoms alone.
-    d = np.sqrt(_squared_distances(x, x, np.empty((len(seen), len(seen)))))
+    d = _built_rows(x, x)
     sep = d > eps
     base = float(wv @ ((legs @ legs.T) * sep) @ wv)
     cross = 0.0

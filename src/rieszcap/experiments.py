@@ -36,6 +36,10 @@ CAPACITY_CSV_COLUMNS = (
     "energy", "iters",
 )
 
+# The optimizer settings of every sweep cell and probe: 200 iterations at
+# tolerance 1e-8.
+SWEEP_OPTIMIZER = OptimizerConfig(max_iters=200, tolerance=1e-8)
+
 
 @dataclass(frozen=True)
 class SweepPoint:
@@ -83,13 +87,11 @@ def sweep_point(
     dimension: float,
     depth: int,
     n: int = 2,
-    cfg: OptimizerConfig | None = None,
 ) -> SweepPoint:
     """Evaluate all sweep quantities on one unit corner-Cantor measure.
 
     The truncation radius is the depth-m cell side, which equals the
-    measure resolution.  ``cfg`` defaults to 200 iterations at tolerance
-    1e-8.
+    measure resolution; the optimizer runs with ``SWEEP_OPTIMIZER``.
     """
     spec = cantor_spec_for_dimension(n, dimension, depth)
     mu = cantor_measure(spec)
@@ -99,8 +101,7 @@ def sweep_point(
     sym = symmetrization_energy(mu, params, window)
     wolff = wolff_energy(mu, exps, window)
     double = ball_mass_double_sum(mu, params, window)
-    report = comparability_report(mu, alpha, window,
-                                  cfg or OptimizerConfig(max_iters=200, tolerance=1e-8))
+    report = comparability_report(mu, alpha, window, SWEEP_OPTIMIZER)
     return SweepPoint(
         set_id=f"cantor-n{n}-d{dimension:g}-m{depth}",
         n=n,
@@ -124,11 +125,10 @@ def comparability_sweep(
     dim_factors=(1.0, 1.2, 1.5),
     depths=(2, 3, 4, 5),
     n: int = 2,
-    cfg: OptimizerConfig | None = None,
 ) -> list:
     """The standard sweep: alpha x (dimension factor) x depth."""
     return [
-        sweep_point(alpha, factor * alpha, depth, n=n, cfg=cfg)
+        sweep_point(alpha, factor * alpha, depth, n=n)
         for alpha in alphas
         for factor in dim_factors
         for depth in depths
@@ -234,10 +234,9 @@ def semiadditivity_probe(
     union = merge_measures(block1, block2).normalized()
     params = KernelParams(alpha, n)
     window = TruncationWindow(spec.cell_side)
-    cfg = OptimizerConfig(max_iters=200, tolerance=1e-8)
-    v1 = estimate_positive_capacity(block1, params, window, cfg).value
-    v2 = estimate_positive_capacity(block2, params, window, cfg).value
-    vu = estimate_positive_capacity(union, params, window, cfg).value
+    v1 = estimate_positive_capacity(block1, params, window, SWEEP_OPTIMIZER).value
+    v2 = estimate_positive_capacity(block2, params, window, SWEEP_OPTIMIZER).value
+    vu = estimate_positive_capacity(union, params, window, SWEEP_OPTIMIZER).value
     return {
         "part_1": v1,
         "part_2": v2,

@@ -218,20 +218,18 @@ def random_triples(
     rng: np.random.Generator,
     count: int,
     n: int,
-    spread: float = 1.0,
     min_area_frac: float = 0.0,
 ) -> np.ndarray:
     """Draw (count, 3, n) triples with mutually distinct points.
 
-    Uniform in a box of the given spread; resamples the rare draws whose
-    minimum pairwise distance is below 1e-9 * spread.  With
+    Uniform in the box [-1, 1]^n; resamples the rare draws whose minimum
+    pairwise distance is below 1e-9.  With
     ``min_area_frac`` > 0 (and n >= 2), triangles whose area is below
     min_area_frac * L^2 are also resampled: identities whose two sides both
     vanish at collinearity lose relative precision like (area/L^2)^-2 in
     doubles, so checks against tight relative tolerances need the floor.
     """
-    out = rng.uniform(-spread, spread, size=(count, 3, n))
-    floor = 1e-9 * spread
+    out = rng.uniform(-1.0, 1.0, size=(count, 3, n))
     for _ in range(200):
         d = np.stack(
             [
@@ -240,7 +238,7 @@ def random_triples(
                 np.linalg.norm(out[:, 1] - out[:, 2], axis=1),
             ]
         )
-        bad = d.min(axis=0) < floor
+        bad = d.min(axis=0) < 1e-9
         if min_area_frac > 0.0 and n >= 2:
             u = out[:, 1] - out[:, 0]
             v = out[:, 2] - out[:, 0]
@@ -252,14 +250,8 @@ def random_triples(
             bad |= 0.5 * doubled < min_area_frac * d.max(axis=0) ** 2
         if not bad.any():
             return out
-        out[bad] = rng.uniform(-spread, spread, size=(int(bad.sum()), 3, n))
+        out[bad] = rng.uniform(-1.0, 1.0, size=(int(bad.sum()), 3, n))
     raise GeometryError("could not draw admissible triples")  # pragma: no cover
-
-
-def _rotation_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-ish random orthogonal matrix from a QR factorization."""
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    return q * np.sign(np.diag(r))
 
 
 __all__ = [

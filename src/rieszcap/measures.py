@@ -235,10 +235,10 @@ def _distance_rows(mu: DiscreteMeasure, rows, first: int = 0) -> np.ndarray:
 
 
 def _built_rows(sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Distances from each of ``sources`` to every one of ``targets``, in
-    row blocks of ``_DISTANCE_BLOCK_BYTES``."""
+    """Distances from each of ``sources``, any points, to every one of
+    ``targets`` (possibly none), in row blocks of ``_DISTANCE_BLOCK_BYTES``."""
     d = np.empty((len(sources), len(targets)))
-    block = max(1, _DISTANCE_BLOCK_BYTES // (8 * len(targets)))
+    block = max(1, _DISTANCE_BLOCK_BYTES // (8 * max(1, len(targets))))
     for i0 in range(0, len(sources), block):
         out = d[i0 : i0 + block]
         _squared_distances(sources[i0 : i0 + block], targets, out)
@@ -537,10 +537,11 @@ def ball_profile(mu: DiscreteMeasure, x) -> BallProfile:
     """Distance breakpoints and cumulative closed-ball masses seen from x.
 
     Ties in distance are merged into a single breakpoint carrying the summed
-    mass, making profiles canonical.
+    mass, making profiles canonical.  The distances are x's row of
+    ``_built_rows``: at an atom, its distance row.
     """
     p = as_point(x, mu.n)
-    dists = np.linalg.norm(mu.atoms - p, axis=1)
+    dists = _built_rows(p[None], mu.atoms)[0]
     radii, inverse = np.unique(dists, return_inverse=True)
     masses = np.cumsum(np.bincount(inverse, weights=mu.weights, minlength=len(radii)))
     radii.setflags(write=False)
@@ -555,22 +556,14 @@ def maximal_function(
 
     With r_min = 0 this is the untruncated fractional maximal function; it
     returns +inf when x carries positive point mass.  For a discrete measure
-    the supremum is attained at r_min or at a profile breakpoint.
+    the supremum is attained at r_min or at an atom distance.  One row of
+    ``maximal_at_atoms``: the same bits at an atom.
     """
     if alpha <= 0.0:
         raise DomainError(f"alpha must be positive, got {alpha}")
-    if r_max < r_min:
-        return 0.0
-    prof = ball_profile(mu, x)
-    keep = prof.radii <= r_max
-    if not keep.any():
-        # Every atom lies beyond r_max, so all admissible balls are empty.
-        return 0.0
-    r = np.maximum(prof.radii[keep], r_min)
-    m = prof.masses[keep]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.where(m > 0.0, m / r**alpha, 0.0)
-    return float(np.max(vals))
+    p = as_point(x, mu.n)[None]
+    near, sorted_d = _sort_rows(mu.weights, _built_rows(p, mu.atoms))
+    return float(np.max(_ratios(near, sorted_d, alpha, r_min, r_max)[0]))
 
 
 def _row_order(mu: DiscreteMeasure) -> np.ndarray:
@@ -600,31 +593,50 @@ def _sorted_rows(mu: DiscreteMeasure, rows: np.ndarray):
     """Yield (sel, near, sorted distances) over blocks of the atom rows
     ``rows``, an ascending index array of distinct atoms.
 
-    ``sel`` slices positions in ``rows``; ``sorted distances`` are the
-    block's distance rows (``_distance_rows``) in ascending order and
-    ``near`` the weights in each row's stable distance order (ties in
-    index order).  Equal weights need no order: the rows are value-sorted
-    and ``near`` is the one weight, broadcast.  Other weights gather
-    through the support's cached row order (``_row_order``) when ``rows``
-    are its orbit representatives; otherwise each block's rows are
-    argsorted on their own, and the order is not kept.  Blocks hold whole
-    rows, so a tie group never straddles two blocks.
+    ``sel`` slices positions in ``rows``; each block's distance rows
+    (``_distance_rows``) are sorted by ``_sort_rows``.  Unequal weights
+    gather through the support's cached row order (``_row_order``) when
+    ``rows`` are its orbit representatives; otherwise each block's rows are
+    sorted on their own, and no order is kept.  Blocks hold whole rows, so
+    a tie group never straddles two blocks.
     """
     w = mu.weights
-    equal = np.all(w == w[0])
     order = None
-    if not equal and np.array_equal(rows, _symmetry_orbits(mu).reps):
+    if not np.all(w == w[0]) and np.array_equal(rows, _symmetry_orbits(mu).reps):
         order = _row_order(mu)
     block = max(1, _SORTED_BLOCK_BYTES // (8 * mu.size))
     for i0 in range(0, len(rows), block):
         sel = slice(i0, i0 + block)
-        dist = _distance_rows(mu, rows[sel])
-        if equal:
+        by = None if order is None else order[sel]
+        yield (sel, *_sort_rows(w, _distance_rows(mu, rows[sel]), by))
+
+
+def _sort_rows(w: np.ndarray, dist: np.ndarray, by=None) -> tuple:
+    """(near, sorted distances) of distance rows to every atom: each row in
+    ascending order, and the weights in its stable distance order (ties in
+    index order), given as ``by`` or argsorted row by row.  Equal weights
+    need no order: the rows are value-sorted and ``near`` is the one weight,
+    broadcast."""
+    if by is None:
+        if np.all(w == w[0]):
             sorted_d = np.sort(dist, axis=1)
-            yield sel, np.broadcast_to(w[0], sorted_d.shape), sorted_d
-            continue
-        by = np.argsort(dist, axis=1, kind="stable") if order is None else order[sel]
-        yield sel, w[by], np.take_along_axis(dist, by, axis=1)
+            return np.broadcast_to(w[0], sorted_d.shape), sorted_d
+        by = np.argsort(dist, axis=1, kind="stable")
+    return w[by], np.take_along_axis(dist, by, axis=1)
+
+
+def _ratios(near: np.ndarray, sorted_d: np.ndarray, alpha: float, r_min: float,
+            r_max: float) -> tuple:
+    """(ratios, radii) along sorted rows (``_sort_rows``): radii max(d, r_min)
+    and closed-ball masses over radii^alpha, zero for an empty ball or a
+    radius above r_max.  A row's maximum is the maximal function at its
+    center, attained at the radius of its argmax."""
+    cum = np.cumsum(near, axis=1)
+    r = np.maximum(sorted_d, r_min)
+    # Only radii in [r_min, r_max] are admissible: none when r_max < r_min.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.where((cum > 0.0) & (r <= r_max), cum / r**alpha, 0.0)
+    return vals, r
 
 
 def maximal_at_atoms(
@@ -638,28 +650,10 @@ def maximal_at_atoms(
         raise DomainError(f"alpha must be positive, got {alpha}")
     orbits = _orbit_rows(mu)
     out = np.empty(len(orbits.reps))
-    for rows, vals, _ in _maximal_rows(mu, alpha, r_min, r_max, orbits.reps):
+    for rows, near, sorted_d in _sorted_rows(mu, orbits.reps):
+        vals, _ = _ratios(near, sorted_d, alpha, r_min, r_max)
         out[rows] = np.max(vals, axis=1)
     return out[orbits.index]
-
-
-def _maximal_rows(mu: DiscreteMeasure, alpha: float, r_min: float, r_max: float,
-                  rows: np.ndarray):
-    """Yield (sel, ratios, radii) over blocks of the ascending atom rows
-    ``rows``, as in ``_sorted_rows``.
-
-    Along a row in ascending distance order, ``radii`` are max(d, r_min) and
-    ``ratios`` the closed-ball masses over radii^alpha, zero for an empty
-    ball or a radius above r_max.  The row maximum is the maximal function
-    at that atom, attained at the radius of its argmax.
-    """
-    for sel, near, sorted_d in _sorted_rows(mu, rows):
-        cum = np.cumsum(near, axis=1)
-        r = np.maximum(sorted_d, r_min)
-        # Only radii in [r_min, r_max] are admissible: none when r_max < r_min.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.where((cum > 0.0) & (r <= r_max), cum / r**alpha, 0.0)
-        yield sel, vals, r
 
 
 # ---------------------------------------------------------------------------

@@ -340,19 +340,21 @@ class TestDescentProtocol:
     def test_refinement_makes_one_maximal_pass_per_evaluation(self, rng, monkeypatch):
         mu = make_random_measure(rng, 8)
         calls = {"passes": 0, "trials": 0}
-        maximal_rows = measures._maximal_rows
+        # 8 atoms make one row block, so each pass applies the shared
+        # ratio helper once.
+        ratios = measures._ratios
         project = capacity.project_to_simplex
 
-        def counted_rows(*args):
+        def counted_ratios(*args):
             calls["passes"] += 1
-            return maximal_rows(*args)
+            return ratios(*args)
 
         def counted_project(v):
             calls["trials"] += 1
             return project(v)
 
-        monkeypatch.setattr(measures, "_maximal_rows", counted_rows)
-        monkeypatch.setattr(capacity, "_maximal_rows", counted_rows)
+        monkeypatch.setattr(measures, "_ratios", counted_ratios)
+        monkeypatch.setattr(capacity, "_ratios", counted_ratios)
         monkeypatch.setattr(capacity, "project_to_simplex", counted_project)
         w0 = np.linspace(1.0, 2.0, mu.size)
         _, _, diag = capacity._refine_combined(mu, P2, TruncationWindow(0.08), w0 / w0.sum(),

@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import kept_matrices, make_random_measure, orbit_ids
+from conftest import kept_matrices, make_random_measure, orbit_ids, point_row_cases
 from rieszcap import energies, measures
 from rieszcap.capacity import (
     OptimizerConfig,
@@ -184,10 +185,17 @@ class TestClosePairs:
         # 3 rows per block: 40 atoms leave a short last block.
         mu = make_random_measure(rng, 40)
         monkeypatch.setattr(energies, "_DISTANCE_BLOCK_BYTES", 3 * 8 * mu.size)
-        for eps in (mu.min_gap, 0.3, 5.0):
+        for eps in (mu.min_gap, 0.3):
+            assert len(self._mask_pairs(mu, eps)) <= mu.size**2 // 4
             got = energies._close_pairs(mu, eps)
             assert got.dtype == np.intp and got.shape[1] == 2
             assert np.array_equal(got, self._mask_pairs(mu, eps))
+        # Every pair of [-1, 1]^2 is within eps = 5: dense, so the scan
+        # stops at the block that passes N^2 / 4 pairs (row 12, in the 4th
+        # of 14 blocks) and returns None.
+        calls = _counting(monkeypatch, "_distance_rows")
+        assert energies._close_pairs(mu, 5.0) is None
+        assert calls["_distance_rows"] == 4
 
 
 class TestDistanceRowsOnDemand:
@@ -211,6 +219,14 @@ class TestDistanceRowsOnDemand:
             _cancelling_measure(),
             _dense_random_measure(rng),
         ]
+
+    def test_points_read_the_rows_of_measures(self):
+        # A pointwise functional builds no distances of its own: they are
+        # rows of ``measures._built_rows``, as at the atoms.
+        with open(energies.__file__, encoding="utf-8") as fh:
+            source = fh.read()
+        assert "np.linalg.norm" not in source and "_squared_distances" not in source
+        assert "np.linalg.norm" not in inspect.getsource(measures.ball_profile)
 
     def test_functionals_and_optimizers_build_no_matrix(self, rng, monkeypatch):
         # Built before the patch: the case helpers count pairs on the matrix.
@@ -348,11 +364,14 @@ class TestTruncatedTransform:
         assert np.array_equal(got, np.zeros(2))
 
     def test_batch_matches_pointwise(self, rng):
-        mu = make_random_measure(rng, 14)
-        batch = energies._transform_at_atoms(mu, P2.alpha, 0.1, np.arange(mu.size))[0]
-        for i, x in enumerate(mu.atoms):
-            single = truncated_riesz_transform(mu, x, P2, 0.1)
-            assert np.allclose(batch[i], single, rtol=1e-12, atol=1e-15)
+        # A point's legs are one kernel row of the at-atoms pass: the same
+        # bits.
+        for mu, rows in point_row_cases(rng):
+            params = KernelParams(0.5, mu.n)
+            for eps in (mu.delta, 0.1):
+                batch = energies._transform_at_atoms(mu, 0.5, eps, rows)[0]
+                singles = [truncated_riesz_transform(mu, mu.atoms[i], params, eps) for i in rows]
+                assert np.array_equal(batch, singles)
 
 
 class TestRieszL2Energy:
@@ -421,6 +440,19 @@ class TestPointwisePotential:
         assert got == pytest.approx(
             naive_symmetrization_potential_sq(mu, [-1.0], 0.5, 0.5), rel=1e-13
         )
+
+    def test_at_an_atom_is_the_direct_recompute(self, rng):
+        # The same bits as the completed square's recompute at that atom.
+        for mu, rows in point_row_cases(rng):
+            params = KernelParams(0.5, mu.n)
+            for eps in (mu.delta, 0.3):
+                window = TruncationWindow(eps)
+                for i in rows:
+                    legs = energies._kernel_rows(mu, 0.5, eps, np.array([i]))[0]
+                    dist = measures._distance_rows(mu, np.array([i]))[0]
+                    base, cross = energies._direct_potential_sq(mu, legs, dist, 0.5, eps)
+                    got = symmetrization_potential_sq(mu, mu.atoms[i], params, window)
+                    assert got == max(base + cross, 0.0)
 
     def test_integral_consistency(self, rng):
         mu = make_random_measure(rng, 11)

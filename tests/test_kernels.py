@@ -17,10 +17,15 @@ from rieszcap.kernels import (
     sandwich_bounds,
     symmetrization,
     symmetrization_many,
-    _rotation_matrix,
 )
 
 E1 = np.array([1.0, 0.0])
+
+
+def _rotation_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Haar-ish random orthogonal matrix from a QR factorization."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
 
 
 class TestKernelParams:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import kept_matrices, make_random_measure, orbit_ids
+from conftest import kept_matrices, make_random_measure, orbit_ids, point_row_cases
 from rieszcap import capacity, energies, measures
 from rieszcap.capacity import OptimizerConfig, chebyshev_restrict, comparability_report
 from rieszcap.energies import (
@@ -299,20 +299,23 @@ class TestMemoryGuard:
         assert "rep_rows" not in mu._cache
 
     def test_refinement_matrix_over_budget(self, monkeypatch):
-        # Refinement keeps every row as the representatives' rows of its
-        # copy with the trivial symmetry group.
+        # Refinement keeps every row and its order (16 N^2 bytes), and each
+        # subgradient adds a ball mask and its float64 copy: 25 N^2 bytes,
+        # refused before anything is built.  A budget above the kept
+        # arrays alone must refuse too.
         mu = cantor_measure(CantorSpec(n=2, ratio=0.25, depth=2))
         params = KernelParams(0.5, 2)
-        monkeypatch.setattr(measures, "_memory_budget", lambda: 8 * mu.size**2 - 1)
 
         def no_rows(*args):
             raise AssertionError("distance rows built past the budget")
 
         monkeypatch.setattr(measures, "_built_rows", no_rows)
-        with pytest.raises(SizeCapError, match="representatives"):
-            capacity._refine_combined(mu, params, TruncationWindow(mu.delta),
-                                      mu.weights, OptimizerConfig())
-        assert kept_matrices(mu) == []
+        for share in (8, 16, 24):
+            monkeypatch.setattr(measures, "_memory_budget", lambda: share * mu.size**2)
+            with pytest.raises(SizeCapError, match="refinement"):
+                capacity._refine_combined(mu, params, TruncationWindow(mu.delta),
+                                          mu.weights, OptimizerConfig())
+            assert kept_matrices(mu) == []
 
     def test_wolff_objective_over_budget(self, monkeypatch):
         # Seven (R, N) arrays at once: the kept rows and order, flat, drop
@@ -337,10 +340,14 @@ class TestMemoryGuard:
         x, eps = mu.atoms.mean(axis=0) + 100.0, mu.min_gap
         monkeypatch.setattr(measures, "_memory_budget", lambda: 3 * 8 * 12 * 12 - 1)
 
-        def no_distances(*args):
-            raise AssertionError("S x S distances built past the budget")
+        built = energies._built_rows
 
-        monkeypatch.setattr(energies, "_squared_distances", no_distances)
+        def point_row_only(sources, targets):
+            if len(sources) > 1:
+                raise AssertionError("S x S distances built past the budget")
+            return built(sources, targets)
+
+        monkeypatch.setattr(energies, "_built_rows", point_row_only)
         with pytest.raises(SizeCapError, match="direct squared potential"):
             energies.symmetrization_potential_sq(mu, x, KernelParams(0.5, 2),
                                                  TruncationWindow(eps))
@@ -540,6 +547,13 @@ class TestBallProfile:
         assert len(prof.radii) == 1
         assert prof.masses[0] == 3.0
 
+    def test_radii_are_the_distance_row(self, rng):
+        # At an atom the profile reads the atom's own distance row.
+        mu = make_random_measure(rng, 20, n=3)
+        d = mu.distance_matrix()
+        for i, x in enumerate(mu.atoms):
+            assert np.array_equal(ball_profile(mu, x).radii, np.unique(d[i]))
+
     def test_against_counting_oracle(self, rng):
         mu = make_random_measure(rng, 20)
         x = rng.uniform(-1.5, 1.5, size=2)
@@ -578,14 +592,15 @@ class TestMaximalFunction:
         )
 
     def test_batched_matches_pointwise(self, rng):
-        mu = make_random_measure(rng, 15)
-        for r_min, r_max in ((0.05, math.inf), (0.1, 0.9)):
-            batch = maximal_at_atoms(mu, 0.6, r_min=r_min, r_max=r_max)
-            singles = [
-                maximal_function(mu, x, 0.6, r_min=r_min, r_max=r_max)
-                for x in mu.atoms
-            ]
-            assert np.allclose(batch, singles, rtol=1e-13)
+        # A point's row is one row of the at-atoms pass: the same bits.
+        for mu, rows in point_row_cases(rng):
+            for r_min, r_max in ((mu.delta, math.inf), (4.0 * mu.delta, 0.9)):
+                batch = maximal_at_atoms(mu, 0.6, r_min=r_min, r_max=r_max)
+                singles = [
+                    maximal_function(mu, mu.atoms[i], 0.6, r_min=r_min, r_max=r_max)
+                    for i in rows
+                ]
+                assert np.array_equal(batch[rows], singles)
         # r_max < r_min leaves no admissible radius, so no ball counts.
         line = DiscreteMeasure([[0.0], [1.0], [3.0]], np.ones(3))
         batch = maximal_at_atoms(line, 0.5, r_min=2.0, r_max=1.5)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_random_measure
+from conftest import make_random_measure, point_row_cases
 from rieszcap.energies import (
     TruncationWindow,
     WolffExponents,
@@ -97,11 +97,13 @@ class TestClosedForm:
         assert energy == pytest.approx(quad, rel=1e-10)
 
     def test_batch_matches_pointwise(self, rng):
-        mu = make_random_measure(rng, 12)
-        window = TruncationWindow(0.05, 3.0)
-        batch = wolff_potentials_at_atoms(mu, MATCHED, window)
-        singles = [wolff_potential(mu, x, MATCHED, window) for x in mu.atoms]
-        assert np.allclose(batch, singles, rtol=1e-13)
+        # A point's row is one row of the at-atoms pass: the same bits.
+        for mu, rows in point_row_cases(rng):
+            exps = WolffExponents.matched(KernelParams(0.5, mu.n))
+            for window in (TruncationWindow(mu.delta), TruncationWindow(4.0 * mu.delta, 0.9)):
+                batch = wolff_potentials_at_atoms(mu, exps, window)
+                singles = [wolff_potential(mu, mu.atoms[i], exps, window) for i in rows]
+                assert np.array_equal(batch[rows], singles)
 
 
 class TestQuadratureOracle:
