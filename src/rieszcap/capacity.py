@@ -133,7 +133,8 @@ class _WolffObjective:
     and J the representatives' gathered suffix sums.  ``energy(w)`` costs
     one O(R N) prefix-sum pass and returns the energy with that pass as
     its state; ``gradient(state)`` adds only the suffix-sum pass and the
-    gather.  The objective keeps no state between calls.  The descent's
+    gather.  The objective keeps no pass between calls, only two (R, N)
+    scratch buffers that every step writes into.  The descent's
     steps are equivariant and its projection onto the simplex acts
     elementwise after one shift, so every iterate from the uniform start
     is bitwise orbit-invariant; other weights raise ``DomainError``.  With
@@ -144,9 +145,13 @@ class _WolffObjective:
     Memory: at most seven (R, N) arrays of 8 bytes an entry are live at
     once, checked against the budget (``measures._check_bytes``) before any
     is built: the kept representative rows and order, ``flat``, ``drop``,
-    and per step the prefix sums with two temporaries (the gather, the
-    powers' factors, the suffix sums or their gather).  ``_descend`` holds
-    one state at a time, so no second pass's prefix sums are live.
+    the two scratch buffers and a state's prefix sums.  ``energy`` gathers
+    the weights into one buffer and forms the powers' factors there;
+    ``gradient`` forms its factors in the same buffer, its suffix sums in
+    the other and gathers them back into the first.  Each ``energy`` call
+    allocates only its state's prefix sums, so a state stays valid across
+    later calls, and ``_descend`` holds one state at a time, so no second
+    pass's prefix sums are live.
     """
 
     def __init__(self, support: DiscreteMeasure, exps: WolffExponents,
@@ -175,6 +180,8 @@ class _WolffObjective:
         self.drop = np.empty((reps, size))
         for block, _, sorted_d in _sorted_rows(support, self.reps):
             self.drop[block] = _wolff_drops(sorted_d, beta, window) / beta
+        self._work = np.empty((reps, size))
+        self._suffix = np.empty((reps, size))
 
     def _mass(self, w: np.ndarray) -> np.ndarray:
         """|O_r| w_r at the representatives, after checking invariance."""
@@ -186,8 +193,13 @@ class _WolffObjective:
     def energy(self, w: np.ndarray) -> tuple:
         """(E(w), state): the state is the prefix-sum pass ``gradient`` reads."""
         mass = self._mass(w)
-        cum = np.cumsum(w[self.order], axis=1)
-        pot = (cum**self.exps.dual_exp * self.drop).sum(axis=1)
+        # The order comes from an argsort, so it is in range: mode="clip"
+        # writes straight into the buffer, where "raise" would copy.
+        work = np.take(w, self.order, out=self._work, mode="clip")
+        cum = np.cumsum(work, axis=1)
+        np.power(cum, self.exps.dual_exp, out=work)
+        work *= self.drop
+        pot = work.sum(axis=1)
         return float(np.dot(mass, pot)), (mass, cum, pot)
 
     def gradient(self, state: tuple) -> np.ndarray:
@@ -196,8 +208,10 @@ class _WolffObjective:
         e = self.exps.dual_exp
         # dW_i/dw_m = e * sum over pieces at radius >= d_im of m^(e-1) drop:
         # suffix sums over the sorted pieces, gathered back per atom.
-        suffix = np.cumsum((cum ** (e - 1.0) * self.drop)[:, ::-1], axis=1)
-        j = np.take(suffix, self.flat)
+        work = np.power(cum, e - 1.0, out=self._work)
+        work *= self.drop
+        suffix = np.cumsum(work[:, ::-1], axis=1, out=self._suffix)
+        j = np.take(suffix, self.flat, out=work, mode="clip")
         u = np.bincount(self.index, mass @ j, len(self.reps)) / self.counts
         grad = pot + e * u
         return grad[self.index]

@@ -84,6 +84,7 @@ from .measures import (
     _check_bytes,
     _distance_rows,
     _orbit_rows,
+    _prefix_masses,
     _sort_rows,
     _sorted_rows,
     maximal_at_atoms,
@@ -184,12 +185,15 @@ def _kernel_rows(mu: DiscreteMeasure, alpha: float, eps: float, rows) -> np.ndar
 def _legs(mu: DiscreteMeasure, alpha: float, eps: float, sources: np.ndarray,
           d: np.ndarray) -> np.ndarray:
     """K[m, j] = k_a(x_j - sources[m]) where d > eps, and zero where d <= eps,
-    for any points ``sources`` with distance rows ``d`` to every atom."""
-    diffs = mu.atoms[None, :, :] - sources[:, None, :]
+    for any points ``sources`` with distance rows ``d`` to every atom.  The
+    coordinate differences are scaled in place, so the legs are the one
+    (B, N, n) array built, next to one (B, N) scale."""
+    legs = mu.atoms[None, :, :] - sources[:, None, :]
     with np.errstate(divide="ignore"):
         scale = d ** (-(1.0 + alpha))
     scale[d <= eps] = 0.0
-    return diffs * scale[:, :, None]
+    legs *= scale[:, :, None]
+    return legs
 
 
 def _close_pairs(mu: DiscreteMeasure, eps: float):
@@ -512,20 +516,25 @@ def wolff_potential(
 
 def _wolff_drops(sorted_d: np.ndarray, beta: float, window: TruncationWindow) -> np.ndarray:
     """lo^-beta - hi^-beta of every piece [lo, hi) of sorted distance rows,
-    both ends clipped to [eps, outer]; the last piece of a row is unbounded."""
-    lo = np.clip(sorted_d, window.eps, window.outer)
-    hi = np.concatenate([sorted_d[:, 1:], np.full((len(sorted_d), 1), math.inf)], axis=1)
-    hi = np.clip(hi, window.eps, window.outer)
-    with np.errstate(divide="ignore"):
-        return lo ** (-beta) - np.where(np.isinf(hi), 0.0, hi ** (-beta))
+    both ends clipped to [eps, outer].  A piece's hi is the next piece's lo,
+    and a row's last piece ends at outer: at r_out, or unbounded (inf^-beta
+    = 0) when r_out is None.  The ends, outer appended to each row, are
+    raised to -beta once, in one array power."""
+    ends = np.empty((len(sorted_d), sorted_d.shape[1] + 1))
+    ends[:, :-1] = sorted_d
+    ends[:, -1] = window.outer
+    np.clip(ends, window.eps, window.outer, out=ends)
+    ends **= -beta
+    return ends[:, :-1] - ends[:, 1:]
 
 
 def _wolff_sums(near: np.ndarray, drop: np.ndarray, exps: WolffExponents,
                 beta: float) -> np.ndarray:
     """The Wolff potential at the center of each sorted row
     (``measures._sort_rows``), summed over its pieces' drops."""
-    cum = np.cumsum(near, axis=1)
-    return (cum**exps.dual_exp * drop / beta).sum(axis=1)
+    terms = _prefix_masses(near, exps.dual_exp) * drop
+    terms /= beta
+    return terms.sum(axis=1)
 
 
 def wolff_potentials_at_atoms(
@@ -706,7 +715,7 @@ def _ball_mass_rows(mu: DiscreteMeasure, params: KernelParams,
     """
     per_row = np.empty(mu.size)
     for rows, near, dist in _sorted_rows(mu, np.arange(mu.size)):
-        cum = np.cumsum(near, axis=1)
+        cum = _prefix_masses(near)
         # The closed ball through a tie group holds all of it: every member
         # takes the cumulative mass at the group's last member, which is the
         # smallest group-end mass at or after it because cum never decreases.

@@ -625,13 +625,24 @@ def _sort_rows(w: np.ndarray, dist: np.ndarray, by=None) -> tuple:
     return w[by], np.take_along_axis(dist, by, axis=1)
 
 
+def _prefix_masses(near: np.ndarray, power=None) -> np.ndarray:
+    """Cumulative masses along sorted rows (``_sort_rows``), raised to
+    ``power`` when given, read-only.  When ``near`` is the one weight
+    broadcast, every row has the same prefix sums: one row is summed (and
+    raised), broadcast."""
+    cum = np.cumsum(near[:1] if near.strides[0] == 0 else near, axis=1)
+    if power is not None:
+        cum **= power
+    return np.broadcast_to(cum, near.shape)
+
+
 def _ratios(near: np.ndarray, sorted_d: np.ndarray, alpha: float, r_min: float,
             r_max: float) -> tuple:
     """(ratios, radii) along sorted rows (``_sort_rows``): radii max(d, r_min)
     and closed-ball masses over radii^alpha, zero for an empty ball or a
     radius above r_max.  A row's maximum is the maximal function at its
     center, attained at the radius of its argmax."""
-    cum = np.cumsum(near, axis=1)
+    cum = _prefix_masses(near)
     r = np.maximum(sorted_d, r_min)
     # Only radii in [r_min, r_max] are admissible: none when r_max < r_min.
     with np.errstate(divide="ignore", invalid="ignore"):

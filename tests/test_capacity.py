@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -644,3 +645,31 @@ class TestDepthTrend:
                 trend.wolff_fit()
             with pytest.raises(DomainError):
                 trend.final_relative_change()
+
+
+class TestObjectiveBuffers:
+    """The objective's steps write into its own two (R, N) buffers."""
+
+    @pytest.mark.parametrize("p", [2.0, 1.5])
+    def test_steps_allocate_only_the_state(self, rng, p):
+        mu = DiscreteMeasure(rng.uniform(-1.0, 1.0, (400, 2)), np.ones(400))
+        objective = _WolffObjective(mu, WolffExponents(s=1.5 / p, p=p, n=2),
+                                    TruncationWindow(0.05))
+        w = rng.uniform(0.5, 1.5, mu.size) / mu.size
+        rows = 8 * len(objective.reps) * mu.size
+        # Warm up, so no first-call set-up is traced.
+        objective.gradient(objective.energy(w)[1])
+        tracemalloc.start()
+        try:
+            energy, state = objective.energy(w)
+            energy_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            objective.gradient(state)
+            gradient_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # energy: its state's prefix sums and O(R + N) vectors.
+        assert rows <= energy_peak < 1.25 * rows
+        # gradient: O(R + N) vectors only.
+        assert gradient_peak < 0.25 * rows

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -961,3 +962,84 @@ class TestEnergyReport:
         assert report.maximal_potential == maximal_potential_energy(_fresh(mu), P2, window)
         m_vals = maximal_at_atoms(_fresh(mu), 0.5, r_min=window.eps, r_max=window.outer)
         assert report.max_maximal == float(m_vals.max())
+
+
+def _equal_weight_cases(rng):
+    """Equal-weight measures: a random cloud, and a ratio-0.5 Cantor grid
+    whose distance rows tie."""
+    mu = make_random_measure(rng, 30)
+    grid = cantor_measure(CantorSpec(2, 0.5, 3))
+    return [mu.with_weights(np.full(mu.size, 0.25)), grid]
+
+
+class TestEqualWeightPrefix:
+    """Equal weights sum one prefix row for a whole block; the references
+    below are the per-row cumsums."""
+
+    def test_ratios(self, rng):
+        for mu in _equal_weight_cases(rng):
+            near, sorted_d = measures._sort_rows(
+                mu.weights, measures._distance_rows(mu, slice(None)))
+            assert near.strides == (0, 0)
+            for r_min, r_max in ((mu.delta, np.inf), (0.0, 0.5), (0.3, 0.1)):
+                vals, r = measures._ratios(near, sorted_d, 0.5, r_min, r_max)
+                cum = np.cumsum(near, axis=1)
+                ref_r = np.maximum(sorted_d, r_min)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    ref = np.where((cum > 0.0) & (ref_r <= r_max), cum / ref_r**0.5, 0.0)
+                assert np.array_equal(vals, ref)
+                assert np.array_equal(r, ref_r)
+
+    @pytest.mark.parametrize("p", [2.0, 1.5, 1.25])
+    def test_wolff_sums(self, rng, p):
+        exps = WolffExponents(s=1.5 / p, p=p, n=2)
+        beta = energies._wolff_beta(exps)
+        for mu in _equal_weight_cases(rng):
+            near, sorted_d = measures._sort_rows(
+                mu.weights, measures._distance_rows(mu, slice(None)))
+            drop = energies._wolff_drops(sorted_d, beta, TruncationWindow(mu.delta))
+            ref = (np.cumsum(near, axis=1) ** exps.dual_exp * drop / beta).sum(axis=1)
+            assert np.array_equal(energies._wolff_sums(near, drop, exps, beta), ref)
+
+    def test_ball_mass_rows(self, rng):
+        for mu in _equal_weight_cases(rng):
+            for eps in (mu.delta, 3.0 * mu.delta):
+                got = energies._ball_mass_rows(mu, P2, TruncationWindow(eps))
+                assert np.array_equal(got, _per_row_cumsum_ball_mass_rows(mu, 0.5, eps))
+
+
+def _per_row_cumsum_ball_mass_rows(mu, alpha, eps):
+    """The double sum's rows with every row's cumulative masses summed on
+    its own."""
+    per_row = np.empty(mu.size)
+    for rows, near, dist in measures._sorted_rows(mu, np.arange(mu.size)):
+        cum = np.cumsum(near, axis=1)
+        last = np.ones(dist.shape, dtype=bool)
+        np.not_equal(dist[:, 1:], dist[:, :-1], out=last[:, :-1])
+        mass = np.minimum.accumulate(np.where(last, cum, np.inf)[:, ::-1], axis=1)[:, ::-1]
+        with np.errstate(divide="ignore"):
+            scale = dist ** (-2.0 * alpha)
+        scale[dist <= eps] = 0.0
+        per_row[rows] = np.einsum("ij,ij,ij->i", near, mass, scale)
+    return per_row
+
+
+def test_kernel_rows_build_one_legs_array():
+    # A 64 x 32 grid in the plane: 256 rows give 4 MiB of distances and
+    # 8 MiB of legs.
+    atoms = np.stack(np.meshgrid(np.arange(64.0), np.arange(32.0)), axis=-1).reshape(-1, 2)
+    mu = DiscreteMeasure(atoms, np.ones(len(atoms)))
+    rows = np.arange(256)
+    ref = energies._kernel_rows(mu, 0.5, 1.5, rows)
+    entries = len(rows) * mu.size
+    legs, scale, dist, mask = 8 * entries * mu.n, 8 * entries, 8 * entries, entries
+    tracemalloc.start()
+    try:
+        got = energies._kernel_rows(mu, 0.5, 1.5, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, ref)
+    # The distance rows, the scale and the mask, and the legs once: scaling
+    # a second (B, N, n) copy of the legs would add 8 MiB.
+    assert peak <= legs + scale + dist + mask + (1 << 20)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_random_measure, point_row_cases
+from rieszcap import energies, measures
 from rieszcap.energies import (
     TruncationWindow,
     WolffExponents,
@@ -11,7 +12,7 @@ from rieszcap.energies import (
 )
 from rieszcap.errors import DomainError, ToleranceNotMetError, UnsupportedExponentError
 from rieszcap.kernels import KernelParams
-from rieszcap.measures import DiscreteMeasure
+from rieszcap.measures import CantorSpec, DiscreteMeasure, cantor_measure
 from rieszcap.oracles import QuadratureConfig, quadrature_wolff
 
 MATCHED = WolffExponents.matched(KernelParams(0.5, 2))
@@ -125,3 +126,33 @@ class TestQuadratureOracle:
         qcfg = QuadratureConfig(rel_tol=1e-14, max_subdivisions=1)
         with pytest.raises(ToleranceNotMetError):
             quadrature_wolff(mu, [0.0, 0.0], MATCHED, TruncationWindow(0.1), qcfg)
+
+
+def _two_power_drops(sorted_d, beta, window):
+    """The reference: each piece's lo and hi raised to -beta on their own,
+    the last piece's hi at infinity before clipping."""
+    lo = np.clip(sorted_d, window.eps, window.outer)
+    hi = np.concatenate([sorted_d[:, 1:], np.full((len(sorted_d), 1), np.inf)], axis=1)
+    hi = np.clip(hi, window.eps, window.outer)
+    with np.errstate(divide="ignore"):
+        return lo ** (-beta) - np.where(np.isinf(hi), 0.0, hi ** (-beta))
+
+
+class TestPieceDrops:
+    @pytest.mark.parametrize("r_out", [None, 1.3, np.inf])
+    @pytest.mark.parametrize("beta", [0.37, 0.5, 1.0, 1.5, 2.0])
+    def test_one_power_equals_two(self, rng, r_out, beta):
+        # Rows with ties (a 0.05 grid) and entries below eps and above outer.
+        d = np.round(rng.uniform(0.0, 2.5, (40, 30)) / 0.05) * 0.05
+        d[:, 0] = 0.0
+        sorted_d = np.sort(d, axis=1)
+        window = TruncationWindow(0.3, r_out)
+        drops = energies._wolff_drops(sorted_d, beta, window)
+        assert np.array_equal(drops, _two_power_drops(sorted_d, beta, window))
+
+    def test_one_power_equals_two_on_a_cantor_row_block(self):
+        mu = cantor_measure(CantorSpec(2, 0.5, 3))
+        sorted_d = np.sort(measures._distance_rows(mu, slice(None)), axis=1)
+        for window in (TruncationWindow(mu.delta), TruncationWindow(mu.delta, 0.6)):
+            drops = energies._wolff_drops(sorted_d, 1.0, window)
+            assert np.array_equal(drops, _two_power_drops(sorted_d, 1.0, window))
