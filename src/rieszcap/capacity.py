@@ -17,11 +17,10 @@ The Wolff energy is the optimization target: for the matched exponents its
 dual exponent is 2, making the objective a smooth cubic polynomial of the
 weights, whereas the combined energy carries a maximal function and square
 roots.  The two energies are comparable, so minimizers are interchangeable
-up to constants; the combined energy is evaluated on the Wolff-optimal
-witness, and optionally refined by a few subgradient steps that take the
-bilinear form of the squared potentials by polarization, in O(N^2 + N P)
-for P close pairs.  A comparability report runs the optimizer once: its
-Wolff proxy and its energy proxy share that one witness.
+up to constants; the combined energy is evaluated on the uniform weights
+and on the Wolff-optimal witness, and the better of the two is kept.  A
+comparability report runs the optimizer once: its Wolff proxy and its
+energy proxy share that one witness.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -39,7 +37,6 @@ from .energies import (
     _wolff_beta,
     _wolff_drops,
     maximal_potential_energy,
-    symmetrization_potentials_sq_at_atoms,
 )
 from .errors import (
     DomainError,
@@ -50,9 +47,7 @@ from .kernels import KernelParams
 from .measures import (
     DiscreteMeasure,
     _check_bytes,
-    _distance_rows,
     _extreme_pair_distance,
-    _ratios,
     _row_order,
     _sorted_rows,
     _symmetry_orbits,
@@ -310,21 +305,17 @@ def estimate_positive_capacity(
     params: KernelParams,
     window: TruncationWindow,
     cfg: OptimizerConfig = OptimizerConfig(),
-    refine: bool = False,
 ) -> CapacityEstimate:
-    """Best 1 / combined-energy over candidate probability weights.
-
-    Candidates: uniform weights, the Wolff-optimal witness, and (with
-    ``refine``) a short projected-subgradient descent of the combined
-    energy itself starting from the better of the two.
+    """Best 1 / combined-energy over two candidate probability weights:
+    the uniform weights and the Wolff-optimal witness.
     """
     params.require_fractional()
     exps = WolffExponents.matched(params)
     wolff_est = minimize_wolff_energy(support, exps, window, cfg)
-    return _energy_proxy(support, params, window, wolff_est, cfg, refine)
+    return _energy_proxy(support, params, window, wolff_est)
 
 
-def _energy_proxy(support, params, window, wolff_est, cfg, refine=False) -> CapacityEstimate:
+def _energy_proxy(support, params, window, wolff_est) -> CapacityEstimate:
     """The combined-energy proxy on the uniform weights and a Wolff witness."""
     uniform = support.with_weights(np.full(support.size, 1.0 / support.size))
     candidates = [uniform, wolff_est.witness]
@@ -333,15 +324,9 @@ def _energy_proxy(support, params, window, wolff_est, cfg, refine=False) -> Capa
         "uniform_energy": energies[0],
         "wolff_witness_energy": energies[1],
         "wolff_iterations": wolff_est.diagnostics["iterations"],
-        "refined": 0.0,
     }
     best = int(np.argmin(energies))
     witness, energy = candidates[best], energies[best]
-    if refine:
-        w, e_ref, _ = _refine_combined(support, params, window, witness.weights, cfg)
-        if e_ref < energy:
-            witness, energy = support.with_weights(w), e_ref
-            diag["refined"] = 1.0
     diag["energy"] = energy
     return CapacityEstimate(
         value=1.0 / energy,
@@ -350,89 +335,6 @@ def _energy_proxy(support, params, window, wolff_est, cfg, refine=False) -> Capa
         window=window,
         diagnostics=diag,
     )
-
-
-def _refine_combined(support, params, window, w0, cfg):
-    """Short monotone subgradient descent on the combined energy: at most
-    25 steps, fewer when ``cfg`` caps lower.
-
-    The iterates' weights are not constant on the symmetry orbits, so each
-    step reads every row.  They run on a private copy of the support with
-    the trivial symmetry group, every atom its own orbit: by the support's
-    one rule for kept rows (``measures._distance_rows``), the copy keeps
-    every distance row and their order (8 N^2 bytes each), built once and
-    shared by every iterate, and frees them when the descent returns.
-    Each subgradient adds an N x N closed-ball mask and the float64 copy
-    that its product takes (9 N^2 bytes), so the descent is refused up
-    front above 25 N^2 bytes.
-    """
-    _check_bytes(25 * support.size * support.size, "the refinement's N x N arrays")
-    trivial = DiscreteMeasure(support.atoms, support.weights, support.delta,
-                              {"min_gap": support.min_gap, "orbits": np.arange(support.size)})
-    objective = SimpleNamespace(
-        energy=lambda w: _combined_energy(trivial.with_weights(w), params, window),
-        gradient=_combined_gradient,
-    )
-    small_cfg = OptimizerConfig(max_iters=min(cfg.max_iters, 25),
-                                tolerance=cfg.tolerance)
-    return _descend(objective, w0, small_cfg)
-
-
-def _combined_energy(mu, params, window) -> tuple:
-    """(E, state): the combined energy sum_i w_i (M_i + sqrt(pp_i)) of mu.
-
-    E equals ``maximal_potential_energy`` bit for bit.  One maximal pass
-    over every row gives both M_i and its attaining radius r*_i; the state
-    keeps them with the certified squared potentials pp for
-    ``_combined_gradient``.
-    """
-    # The squared potentials first: the maximal pass's last row block
-    # outlives its loop.
-    pp = symmetrization_potentials_sq_at_atoms(mu, params, window)
-    m_vals = np.empty(mu.size)
-    r_star = np.empty(mu.size)
-    for rows, near, sorted_d in _sorted_rows(mu, np.arange(mu.size)):
-        vals, r = _ratios(near, sorted_d, params.alpha, window.eps, window.outer)
-        best = np.argmax(vals, axis=1)[:, None]
-        m_vals[rows] = np.take_along_axis(vals, best, axis=1)[:, 0]
-        r_star[rows] = np.take_along_axis(r, best, axis=1)[:, 0]
-    energy = float(np.dot(mu.weights, m_vals + np.sqrt(pp)))
-    return energy, (mu, params, window, m_vals, r_star, pp)
-
-
-def _combined_gradient(state) -> np.ndarray:
-    """A subgradient of the combined energy in the weights of mu.
-
-    The potential part has the derivative sqrt(pp_m) + 2 B(u, w)_m with
-    u = w / (2 sqrt(pp)) (``_pp_polarized``), in O(N^2 + N P) for P close
-    pairs.
-    """
-    mu, params, window, m_vals, r_star, pp = state
-    w = mu.weights
-    root = np.sqrt(pp)
-    # dM_i/dw_m = [d_im <= r*_i] / r*_i^alpha at the attaining radius.
-    ind = _distance_rows(mu, slice(None)) <= r_star[:, None]
-    grad_m_term = m_vals + (w * (1.0 / r_star**params.alpha)) @ ind
-    u = np.where(root > 0.0, 0.5 * w / np.maximum(root, 1e-300), 0.0)
-    return grad_m_term + root + 2.0 * _pp_polarized(mu, params, window, pp, u)
-
-
-def _pp_polarized(mu, params, window, pp, left) -> np.ndarray:
-    """B_m = sum_{i,k} left_i w_k sym(x_m, x_i, x_k) over separated triples.
-
-    The squared potentials pp = Q(w) of mu are a quadratic form of the
-    weights, so B = [Q(w + c left) - Q(w) - Q(c left)] / (2c) with
-    c = sum w / sum left; each Q is a certified completed square.
-    """
-    total = float(left.sum())
-    if total <= 0.0:
-        return np.zeros(mu.size)
-    c = float(mu.weights.sum()) / total
-    both, scaled = (
-        symmetrization_potentials_sq_at_atoms(mu.with_weights(v), params, window)
-        for v in (mu.weights + c * left, c * left)
-    )
-    return (both - pp - scaled) / (2.0 * c)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +405,7 @@ def comparability_report(
     params.require_fractional()
     exps = WolffExponents.matched(params)
     wolff_est = minimize_wolff_energy(support, exps, window, cfg)
-    energy_est = _energy_proxy(support, params, window, wolff_est, cfg)
+    energy_est = _energy_proxy(support, params, window, wolff_est)
     return ComparabilityReport(energy_proxy=energy_est, wolff_proxy=wolff_est)
 
 

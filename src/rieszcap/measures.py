@@ -91,6 +91,8 @@ class DiscreteMeasure:
             )
         if atoms.shape[0] == 0:
             raise MeasureFormatError("measure needs at least one atom")
+        if atoms.shape[1] == 0:
+            raise MeasureFormatError("atoms need at least one coordinate")
         if not np.all(np.isfinite(atoms)):
             raise MeasureFormatError("atom coordinates must be finite")
         if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
@@ -418,9 +420,19 @@ def cantor_measure(spec: CantorSpec) -> DiscreteMeasure:
     delta equals the cell side base * ratio^m.  The measure carries the
     symmetry orbits of its atoms (``_cantor_orbits``).
     """
+    _check_cantor_bytes(spec)
     weights = np.full(spec.atom_count, 1.0 / spec.atom_count)
     return DiscreteMeasure(_cantor_atoms(spec), weights, spec.cell_side,
                            {"orbits": _cantor_orbits(spec.n, spec.depth)})
+
+
+def _check_cantor_bytes(spec: CantorSpec) -> None:
+    """Refuse the spec's atoms and orbit ids above the budget, before
+    either is built: the orbit ids keep up to three int64 arrays of N n m
+    entries live next to the atoms, and the atoms up to four float64
+    arrays of N n."""
+    _check_bytes(8 * spec.atom_count * spec.n * (3 * spec.depth + 4),
+                 "the Cantor atoms and orbits")
 
 
 def _cantor_atoms(spec: CantorSpec) -> np.ndarray:
@@ -563,7 +575,7 @@ def maximal_function(
         raise DomainError(f"alpha must be positive, got {alpha}")
     p = as_point(x, mu.n)[None]
     near, sorted_d = _sort_rows(mu.weights, _built_rows(p, mu.atoms))
-    return float(np.max(_ratios(near, sorted_d, alpha, r_min, r_max)[0]))
+    return float(np.max(_ratios(near, sorted_d, alpha, r_min, r_max)))
 
 
 def _row_order(mu: DiscreteMeasure) -> np.ndarray:
@@ -637,17 +649,15 @@ def _prefix_masses(near: np.ndarray, power=None) -> np.ndarray:
 
 
 def _ratios(near: np.ndarray, sorted_d: np.ndarray, alpha: float, r_min: float,
-            r_max: float) -> tuple:
-    """(ratios, radii) along sorted rows (``_sort_rows``): radii max(d, r_min)
-    and closed-ball masses over radii^alpha, zero for an empty ball or a
-    radius above r_max.  A row's maximum is the maximal function at its
-    center, attained at the radius of its argmax."""
+            r_max: float) -> np.ndarray:
+    """Ratios along sorted rows (``_sort_rows``): closed-ball masses over
+    radii^alpha at radii max(d, r_min), zero for an empty ball or a radius
+    above r_max.  A row's maximum is the maximal function at its center."""
     cum = _prefix_masses(near)
     r = np.maximum(sorted_d, r_min)
     # Only radii in [r_min, r_max] are admissible: none when r_max < r_min.
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.where((cum > 0.0) & (r <= r_max), cum / r**alpha, 0.0)
-    return vals, r
+        return np.where((cum > 0.0) & (r <= r_max), cum / r**alpha, 0.0)
 
 
 def maximal_at_atoms(
@@ -662,8 +672,7 @@ def maximal_at_atoms(
     orbits = _orbit_rows(mu)
     out = np.empty(len(orbits.reps))
     for rows, near, sorted_d in _sorted_rows(mu, orbits.reps):
-        vals, _ = _ratios(near, sorted_d, alpha, r_min, r_max)
-        out[rows] = np.max(vals, axis=1)
+        out[rows] = np.max(_ratios(near, sorted_d, alpha, r_min, r_max), axis=1)
     return out[orbits.index]
 
 
@@ -733,6 +742,7 @@ def _file_orbits(key, atoms: np.ndarray) -> dict:
         raise MeasureFormatError(f'invalid "cantor" spec: {exc}') from exc
     if spec.atom_count != len(atoms):
         return {}
+    _check_cantor_bytes(spec)
     built = _cantor_atoms(spec)
     if built.shape != atoms.shape or built.tobytes() != atoms.tobytes():
         return {}

@@ -155,31 +155,6 @@ def naive_symmetrization_potential_sq(
     return total
 
 
-def naive_pp_bilinear(mu: DiscreteMeasure, alpha: float, eps: float, left) -> list:
-    """B_m = sum_{i,k} left_i w_k sym(x_m, x_i, x_k) at every atom m.
-
-    Sums over ordered pairs of distinct atoms i, k, both farther than eps
-    from x_m and more than eps apart: the bilinear form of the squared
-    potential, which it equals at left = w.
-    """
-    atoms, weights = _atom_rows(mu)
-    left = [float(v) for v in np.asarray(left)]
-    d = mu.distance_matrix().tolist()
-    m = len(atoms)
-    out = []
-    for c in range(m):
-        total = 0.0
-        for i in range(m):
-            if d[c][i] <= eps:
-                continue
-            for k in range(m):
-                if k == i or d[c][k] <= eps or d[i][k] <= eps:
-                    continue
-                total += left[i] * weights[k] * _sym_raw(atoms[c], atoms[i], atoms[k], alpha)
-        out.append(total)
-    return out
-
-
 def naive_ball_mass_double_sum(mu: DiscreteMeasure, alpha: float, eps: float) -> float:
     """sum_{i != j, d_ij > eps} w_i w_j mu(B(x_i, d_ij)) / d_ij^(2a), closed balls
     counted atom by atom.

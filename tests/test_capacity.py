@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import kept_matrices, make_random_measure, orbit_ids
-from rieszcap import capacity, energies, measures
+from conftest import make_random_measure, orbit_ids
+from rieszcap import capacity, measures
 from rieszcap.capacity import (
     METHOD_ENERGY,
     METHOD_WOLFF,
@@ -27,7 +27,6 @@ from rieszcap.energies import (
     TruncationWindow,
     WolffExponents,
     maximal_potential_energy,
-    symmetrization_potentials_sq_at_atoms,
     wolff_energy,
     wolff_potentials_at_atoms,
 )
@@ -36,7 +35,6 @@ from rieszcap.experiments import DepthTrend, depth_trend, semiadditivity_probe, 
 from rieszcap.kernels import KernelParams
 from rieszcap.measures import DiscreteMeasure, cantor_measure, cantor_spec_for_dimension
 from rieszcap.oracles import wolff_cubic_form
-from test_energies import _cancelling_measure
 
 P2 = KernelParams(0.5, 2)
 MATCHED = WolffExponents.matched(P2)
@@ -338,31 +336,6 @@ class TestDescentProtocol:
             assert diag["backtracks"] > 0
         assert diag["iterations"] >= 2
 
-    def test_refinement_makes_one_maximal_pass_per_evaluation(self, rng, monkeypatch):
-        mu = make_random_measure(rng, 8)
-        calls = {"passes": 0, "trials": 0}
-        # 8 atoms make one row block, so each pass applies the shared
-        # ratio helper once.
-        ratios = measures._ratios
-        project = capacity.project_to_simplex
-
-        def counted_ratios(*args):
-            calls["passes"] += 1
-            return ratios(*args)
-
-        def counted_project(v):
-            calls["trials"] += 1
-            return project(v)
-
-        monkeypatch.setattr(measures, "_ratios", counted_ratios)
-        monkeypatch.setattr(capacity, "_ratios", counted_ratios)
-        monkeypatch.setattr(capacity, "project_to_simplex", counted_project)
-        w0 = np.linspace(1.0, 2.0, mu.size)
-        _, _, diag = capacity._refine_combined(mu, P2, TruncationWindow(0.08), w0 / w0.sum(),
-                                               OptimizerConfig())
-        assert diag["iterations"] >= 2
-        assert calls["passes"] == calls["trials"] + 1
-
 
 class TestPositiveCapacity:
     def test_single_atom_value_one(self):
@@ -387,93 +360,6 @@ class TestPositiveCapacity:
             mu.dilated(lam), P2, window.scaled(lam)
         ).value
         assert scaled == pytest.approx(base * lam**0.5, rel=1e-6)
-
-    def test_refinement_never_worse(self, rng):
-        mu = make_random_measure(rng, 8)
-        window = TruncationWindow(0.08)
-        plain = estimate_positive_capacity(mu, P2, window)
-        refined = estimate_positive_capacity(mu, P2, window, refine=True)
-        assert refined.value >= plain.value * (1 - 1e-12)
-
-    def test_refinement_keeps_no_matrix_on_the_support(self):
-        # The iterates' rows and order of every row live on a private copy.
-        mu = cantor_measure(cantor_spec_for_dimension(2, 0.75, 3))
-        est = estimate_positive_capacity(mu, P2, TruncationWindow(mu.delta),
-                                         OptimizerConfig(max_iters=20), refine=True)
-        assert est.diagnostics["refined"] == 1.0
-        assert kept_matrices(mu) == [] and kept_matrices(est.witness) == []
-
-    def test_refinement_completes_one_square_per_weight_vector(self, rng, monkeypatch):
-        # Every weight vector completes its square once: a line-search trial
-        # and the gradient at the accepted trial share it, and so do the
-        # two auxiliary squares that each gradient builds by polarization.
-        # The combined energy is evaluated at the start and at each trial.
-        mu = make_random_measure(rng, 8)
-        window = TruncationWindow(0.08)
-        squares = []
-        calls = {"combined": 0, "trials": 0}
-        combined = capacity._combined_energy
-        transform = energies._transform_at_atoms
-        project = capacity.project_to_simplex
-
-        def counted_combined(*args):
-            calls["combined"] += 1
-            return combined(*args)
-
-        def counted_transform(m, *args, **kwargs):
-            squares.append(m.weights.tobytes())
-            return transform(m, *args, **kwargs)
-
-        def counted_project(v):
-            calls["trials"] += 1
-            return project(v)
-
-        monkeypatch.setattr(capacity, "_combined_energy", counted_combined)
-        monkeypatch.setattr(energies, "_transform_at_atoms", counted_transform)
-        monkeypatch.setattr(capacity, "project_to_simplex", counted_project)
-        w0 = np.linspace(1.0, 2.0, mu.size)
-        _, _, diag = capacity._refine_combined(mu, P2, window, w0 / w0.sum(), OptimizerConfig())
-        assert diag["iterations"] >= 2
-        assert len(squares) == len(set(squares))
-        assert calls["combined"] == calls["trials"] + 1
-
-    def test_subgradient_without_potential(self):
-        # Every squared potential vanishes, so the bilinear term's left
-        # weights are all zero: no zero-mass measure may be built.
-        mu, eps = _cancelling_measure()
-        window = TruncationWindow(eps)
-        energy, state = capacity._combined_energy(mu, P2, window)
-        grad = capacity._combined_gradient(state)
-        assert energy == maximal_potential_energy(mu, P2, window)
-        assert np.all(np.isfinite(grad))
-
-    def test_subgradient_matches_central_differences(self, rng):
-        mu = make_random_measure(rng, 10)
-        window = TruncationWindow(0.05)
-        w = rng.uniform(0.3, 1.7, mu.size)
-        w /= w.sum()
-        # Every atom's maximal radius is attained with a clear margin, and
-        # every squared potential is positive: the energy is smooth at w.
-        d = mu.distance_matrix()
-        for i in range(mu.size):
-            order = np.argsort(d[i], kind="stable")
-            vals = np.cumsum(w[order]) / np.maximum(d[i, order], window.eps) ** P2.alpha
-            top = np.sort(vals)[-2:]
-            assert top[1] - top[0] > 1e-3 * top[1]
-        nu = mu.with_weights(w)
-        assert np.all(symmetrization_potentials_sq_at_atoms(nu, P2, window) > 0.0)
-        energy, state = capacity._combined_energy(nu, P2, window)
-        grad = capacity._combined_gradient(state)
-        assert energy == maximal_potential_energy(nu, P2, window)
-        h = 1e-6
-        for _ in range(3):
-            v = rng.normal(size=mu.size)
-            v -= v.mean()
-            plus = maximal_potential_energy(mu.with_weights(w + h * v), P2, window)
-            minus = maximal_potential_energy(mu.with_weights(w - h * v), P2, window)
-            want = (plus - minus) / (2.0 * h)
-            assert float(grad @ v) == pytest.approx(want, rel=1e-6)
-
 
 class TestChebyshevRestriction:
     def test_keep_everything_at_double_mean(self):

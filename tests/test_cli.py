@@ -66,6 +66,20 @@ class TestGen:
         assert code == 2
         assert "memory budget" in capsys.readouterr().err
 
+    def test_lifted_atom_cap_over_budget_exit_2(self, tmp_path, monkeypatch, capsys):
+        # --max-atoms lifts the cap; the Cantor arrays are refused on their
+        # estimate alone, before any is built.
+        monkeypatch.setattr(measures, "_memory_budget", lambda: 2.0**30)
+
+        def no_build(*args):
+            raise AssertionError("Cantor arrays built past the budget")
+
+        monkeypatch.setattr(measures, "_cantor_atoms", no_build)
+        code = main(["gen", "--ratio", "0.25", "--depth", "12", "--max-atoms", str(1 << 24),
+                     "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        assert "memory budget" in capsys.readouterr().err
+
     def test_dimension_flag(self, tmp_path, capsys):
         out = tmp_path / "m.json"
         assert main(["gen", "--dimension", "0.5", "--depth", "1",
@@ -113,6 +127,16 @@ class TestEnergy:
         bad = tmp_path / "bad.json"
         bad.write_text('{"n": 2, "delta": 1.0, "atoms": [], "weights": []}')
         assert main(["energy", "--measure", str(bad), "--alpha", "0.5"]) == 3
+
+    @pytest.mark.parametrize("name, text", [
+        ("zero.csv", "w\n1.0\n2.0\n"),
+        ("zero.json", '{"n": 0, "delta": 1.0, "atoms": [[], []], "weights": [1, 1]}'),
+    ], ids=["csv", "json"])
+    def test_zero_dimensional_measure_exit_3(self, tmp_path, capsys, name, text):
+        bad = tmp_path / name
+        bad.write_text(text)
+        assert main(["energy", "--measure", str(bad), "--alpha", "0.5"]) == 3
+        assert "coordinate" in capsys.readouterr().err
 
     def test_json_format(self, three_atom_file, tmp_path):
         out = tmp_path / "rows.json"

@@ -14,7 +14,6 @@ from conftest import kept_matrices, make_random_measure, orbit_ids, point_row_ca
 from rieszcap import energies, measures
 from rieszcap.capacity import (
     OptimizerConfig,
-    _pp_polarized,
     estimate_positive_capacity,
     minimize_wolff_energy,
 )
@@ -45,7 +44,6 @@ from rieszcap.measures import (
 from rieszcap.oracles import (
     _dist,
     naive_ball_mass_double_sum,
-    naive_pp_bilinear,
     naive_riesz_l2_energy,
     naive_symmetrization_energy,
     naive_symmetrization_potential_sq,
@@ -488,23 +486,6 @@ class TestPointwisePotential:
             mu, KernelParams(alpha, 2), TruncationWindow(eps)
         )
         want = [naive_symmetrization_potential_sq(mu, x, alpha, eps) for x in mu.atoms]
-        assert np.allclose(got, want, rtol=1e-11, atol=1e-14)
-
-    @pytest.mark.parametrize("case", ["random", "cantor-depth-3", "dense", "zero-left"])
-    def test_polarized_bilinear_matches_naive(self, rng, case):
-        # The refine subgradient's bilinear form, by polarization of three
-        # completed squares, against a scalar loop over every triple.
-        if case == "dense":
-            mu, eps = _dense_random_measure(rng)
-        else:
-            mu, eps = _close_pair_case(rng, "cantor" if case == "cantor-depth-3" else "random")
-        window = TruncationWindow(eps)
-        left = rng.uniform(0.3, 1.7, mu.size)
-        if case == "zero-left":
-            left[::3] = 0.0
-        pp = symmetrization_potentials_sq_at_atoms(mu, P2, window)
-        got = _pp_polarized(mu, P2, window, pp, left)
-        want = naive_pp_bilinear(mu, 0.5, eps, left)
         assert np.allclose(got, want, rtol=1e-11, atol=1e-14)
 
     def test_alpha_domain(self, random_measure):
@@ -982,13 +963,12 @@ class TestEqualWeightPrefix:
                 mu.weights, measures._distance_rows(mu, slice(None)))
             assert near.strides == (0, 0)
             for r_min, r_max in ((mu.delta, np.inf), (0.0, 0.5), (0.3, 0.1)):
-                vals, r = measures._ratios(near, sorted_d, 0.5, r_min, r_max)
+                vals = measures._ratios(near, sorted_d, 0.5, r_min, r_max)
                 cum = np.cumsum(near, axis=1)
                 ref_r = np.maximum(sorted_d, r_min)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     ref = np.where((cum > 0.0) & (ref_r <= r_max), cum / ref_r**0.5, 0.0)
                 assert np.array_equal(vals, ref)
-                assert np.array_equal(r, ref_r)
 
     @pytest.mark.parametrize("p", [2.0, 1.5, 1.25])
     def test_wolff_sums(self, rng, p):

@@ -60,6 +60,10 @@ class TestDiscreteMeasure:
         with pytest.raises(MeasureFormatError):
             DiscreteMeasure([[0.0], [1.0]], [1.0, 1.0], delta=1.5)
 
+    def test_rejects_atoms_without_coordinates(self):
+        with pytest.raises(MeasureFormatError, match="coordinate"):
+            DiscreteMeasure(np.empty((2, 0)), [1.0, 1.0])
+
     def test_zero_weight_atoms_allowed(self):
         mu = DiscreteMeasure([[0.0], [1.0]], [0.0, 1.0])
         assert mu.total_mass == 1.0
@@ -274,7 +278,7 @@ class TestMemoryGuard:
 
     @pytest.mark.parametrize("trivial", [False, True])
     def test_row_order_over_budget(self, monkeypatch, trivial):
-        # With the trivial symmetry group, as refinement runs, R = N.
+        # With the trivial symmetry group every atom is its own orbit: R = N.
         mu = cantor_measure(CantorSpec(n=2, ratio=0.25, depth=3))
         if trivial:
             mu = DiscreteMeasure(mu.atoms, mu.weights, mu.delta,
@@ -297,25 +301,6 @@ class TestMemoryGuard:
         with pytest.raises(SizeCapError, match="representatives"):
             measures._distance_rows(mu, reps)
         assert "rep_rows" not in mu._cache
-
-    def test_refinement_matrix_over_budget(self, monkeypatch):
-        # Refinement keeps every row and its order (16 N^2 bytes), and each
-        # subgradient adds a ball mask and its float64 copy: 25 N^2 bytes,
-        # refused before anything is built.  A budget above the kept
-        # arrays alone must refuse too.
-        mu = cantor_measure(CantorSpec(n=2, ratio=0.25, depth=2))
-        params = KernelParams(0.5, 2)
-
-        def no_rows(*args):
-            raise AssertionError("distance rows built past the budget")
-
-        monkeypatch.setattr(measures, "_built_rows", no_rows)
-        for share in (8, 16, 24):
-            monkeypatch.setattr(measures, "_memory_budget", lambda: share * mu.size**2)
-            with pytest.raises(SizeCapError, match="refinement"):
-                capacity._refine_combined(mu, params, TruncationWindow(mu.delta),
-                                          mu.weights, OptimizerConfig())
-            assert kept_matrices(mu) == []
 
     def test_wolff_objective_over_budget(self, monkeypatch):
         # Seven (R, N) arrays at once: the kept rows and order, flat, drop
@@ -351,6 +336,31 @@ class TestMemoryGuard:
         with pytest.raises(SizeCapError, match="direct squared potential"):
             energies.symmetrization_potential_sq(mu, x, KernelParams(0.5, 2),
                                                  TruncationWindow(eps))
+
+    def test_cantor_arrays_over_budget(self, monkeypatch):
+        # Three int64 arrays of N n m entries for the orbit ids and four
+        # float64 arrays of N n for the atoms, refused before either is
+        # built: a spec can lift the atom cap past any box, and a measure
+        # file's "cantor" key rebuilds both.
+        spec = CantorSpec(n=2, ratio=0.25, depth=12, max_atoms=1 << 24)
+        small = CantorSpec(n=2, ratio=0.25, depth=3)
+        text = measure_to_json(cantor_measure(small), cantor=small)
+
+        def no_build(*args):
+            raise AssertionError("Cantor arrays built past the budget")
+
+        monkeypatch.setattr(measures, "_cantor_atoms", no_build)
+        monkeypatch.setattr(measures, "_cantor_orbits", no_build)
+        for built, read in ((spec, lambda: cantor_measure(spec)),
+                            (small, lambda: measure_from_json(text))):
+            estimate = 8 * built.atom_count * 2 * (3 * built.depth + 4)
+            monkeypatch.setattr(measures, "_memory_budget", lambda: estimate - 1)
+            with pytest.raises(SizeCapError, match="Cantor"):
+                read()
+        monkeypatch.undo()
+        monkeypatch.setattr(measures, "_memory_budget", lambda: estimate)
+        assert cantor_measure(small).size == 64
+        assert len(measures._orbit_rows(measure_from_json(text)).reps) == 10
 
 
 class TestCantorGenerator:
@@ -664,51 +674,6 @@ class TestRowOrderCache:
         got = ball_mass_double_sum(nu, params, window)
         assert _row_order(nu) is order and order.shape == (len(reps), mu.size)
         assert got == ball_mass_double_sum(free, params, window)
-
-    def test_refinement_sorts_every_row_once(self, monkeypatch):
-        # The iterates' weights leave the orbits, so every step reads every
-        # row: the support's order of every row is built once and shared.
-        mu = cantor_measure(cantor_spec_for_dimension(2, 0.75, 3))
-        params = KernelParams(0.5, 2)
-        window = TruncationWindow(mu.delta)
-        report = comparability_report(mu, 0.5, window, OptimizerConfig(max_iters=20))
-        witness = report.wolff_proxy.witness
-        sorts = []
-        argsort = np.argsort
-
-        def counting_argsort(a, *args, **kwargs):
-            if np.ndim(a) == 2:
-                sorts.append(a.shape)
-            return argsort(a, *args, **kwargs)
-
-        monkeypatch.setattr(np, "argsort", counting_argsort)
-        _, _, diag = capacity._refine_combined(mu, params, window, witness.weights,
-                                               OptimizerConfig())
-        assert diag["iterations"] > 1
-        assert sorts == [(mu.size, mu.size)]
-
-    def test_refinement_builds_the_distance_matrix_once(self, monkeypatch):
-        # Its iterates read every row: on its copy with the trivial symmetry
-        # group every row is a representative's, built once and kept.
-        mu = cantor_measure(cantor_spec_for_dimension(2, 0.75, 3))
-        params = KernelParams(0.5, 2)
-        window = TruncationWindow(mu.delta)
-        report = comparability_report(mu, 0.5, window, OptimizerConfig(max_iters=20))
-        assert kept_matrices(mu) == []
-        built = []
-        squared = measures._squared_distances
-
-        def counting(a, b, out):
-            built.append(len(a))
-            return squared(a, b, out)
-
-        monkeypatch.setattr(measures, "_squared_distances", counting)
-        _, _, diag = capacity._refine_combined(mu, params, window,
-                                               report.wolff_proxy.witness.weights,
-                                               OptimizerConfig())
-        assert diag["iterations"] > 1
-        assert sum(built) == mu.size
-        assert kept_matrices(mu) == []
 
     def test_equal_weights_build_no_order(self, monkeypatch, rng):
         # Built before counting: cantor_measure sorts each atom's digits.

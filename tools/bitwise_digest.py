@@ -11,9 +11,9 @@ from ROOT/bench/workloads.py, which it only reads.  It prints:
 * the ``float.hex`` of every ``energy-deep`` and ``energy-wide-eps`` bench
   item at seeds 0-2;
 * the 36 cells of the standard comparability sweep, each field with %.17g;
-* plain and ``refine=True`` capacity estimates (value, witness-weight
-  bytes, diagnostics) on Cantor and random supports, and the Wolff
-  optimizer on the random supports.
+* capacity estimates (value, witness-weight bytes, diagnostics) on
+  Cantor and random supports, and the Wolff optimizer on the random
+  supports.
 
 Two checkouts compute the same bits when their digests are equal:
 
@@ -91,9 +91,8 @@ def _estimates() -> None:
     for label, alpha, mu, eps in _supports():
         params = KernelParams(alpha, 2)
         window = TruncationWindow(eps)
-        for refine in (False, True):
-            est = estimate_positive_capacity(mu, params, window, cfg, refine=refine)
-            print(_estimate_line(f"estimate {label} refine={refine}", est))
+        est = estimate_positive_capacity(mu, params, window, cfg)
+        print(_estimate_line(f"estimate {label}", est))
         if label.startswith("random"):
             est = minimize_wolff_energy(mu, WolffExponents.matched(params), window, cfg)
             print(_estimate_line(f"wolff {label}", est))
