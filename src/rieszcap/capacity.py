@@ -92,7 +92,7 @@ class CapacityEstimate:
         return {
             "value": self.value,
             "method": self.method,
-            "window": {"eps": self.window.eps, "r_out": self.window.r_out},
+            "window": {"eps": self.window.eps},
             "diagnostics": dict(self.diagnostics),
             "witness": json.loads(measure_to_json(self.witness)),
         }

@@ -19,7 +19,7 @@ randomized steps take an explicit seed and identical invocations produce
 byte-identical files.
 
 Exit codes: 0 ok; 1 verification failure; 2 size cap exceeded; 3 malformed
-input; 4 I/O error.
+input, including a usage error on the command line; 4 I/O error.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ def cmd_energy(args) -> int:
     for alpha in _floats(args.alpha):
         params = KernelParams(alpha, mu.n)
         for eps in _floats(args.eps) if args.eps else [mu.delta]:
-            reports.append(energy_report(mu, params, TruncationWindow(eps, args.r_out)))
+            reports.append(energy_report(mu, params, TruncationWindow(eps)))
     if args.format == "json":
         _write_text(args.out, _json_dumps([r.to_json_dict() for r in reports]))
     else:
@@ -250,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure")
     p.add_argument("--alpha", default="0.5", help="comma-separated list")
     p.add_argument("--eps", help="comma-separated list (default: the measure's delta)")
-    p.add_argument("--r-out", type=float, dest="r_out")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_energy)
@@ -296,7 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which is the size-cap code here.
+        return EXIT_BAD_INPUT if exc.code else EXIT_OK
     from .errors import (
         MeasureFormatError,
         RieszcapError,

@@ -12,9 +12,11 @@ Implements, for an atomic measure mu with weights w_i at sites x_i:
   alpha times the matched Wolff energy plus a boundary term at eps and a
   tie term (see ``ball_mass_double_sum``).
 
-Every functional carries an explicit truncation window.  Atomic measures
-make the untruncated Wolff integral and maximal function infinite, so the
-inner radius should normally be at least the measure resolution ``delta``.
+Every functional carries an explicit truncation window: its inner radius
+eps, from which radial integrals and suprema run to infinity.  Atomic
+measures make the untruncated Wolff integral and maximal function
+infinite, so eps should normally be at least the measure resolution
+``delta``.
 Cutoff comparisons are strict (> eps); ties at exactly eps are excluded.
 
 Evaluating the triple sum
@@ -102,29 +104,20 @@ _CANCEL_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class TruncationWindow:
-    """Inner cutoff radius eps (> 0) and optional outer cutoff r_out."""
+    """Inner cutoff radius eps (> 0); every radial integral and supremum
+    runs from eps up to infinity."""
 
     eps: float
-    r_out: float | None = None
 
     def __post_init__(self):
         if not (self.eps > 0.0) or not math.isfinite(self.eps):
             raise DomainError(f"eps must be positive and finite, got {self.eps}")
-        if self.r_out is not None and not (self.r_out > self.eps):
-            raise DomainError(
-                f"r_out={self.r_out} must exceed eps={self.eps} (or be omitted)"
-            )
-
-    @property
-    def outer(self) -> float:
-        return math.inf if self.r_out is None else self.r_out
 
     def scaled(self, factor: float) -> "TruncationWindow":
-        """Window with both radii multiplied by a positive factor."""
+        """Window with eps multiplied by a positive factor."""
         if factor <= 0.0:
             raise DomainError(f"scale factor must be positive, got {factor}")
-        r = None if self.r_out is None else self.r_out * factor
-        return TruncationWindow(self.eps * factor, r)
+        return TruncationWindow(self.eps * factor)
 
 
 @dataclass(frozen=True)
@@ -299,6 +292,9 @@ def _transform_at_atoms(mu: DiscreteMeasure, alpha: float, eps: float, rows: np.
             terms *= mass[sel, None]
             u += terms.sum(axis=0)
             u_abs += np.abs(terms, out=terms).sum(axis=0)
+        # Free this block's arrays before the next block's kernel rows are
+        # built, so the pass never holds two blocks.
+        kernels = dot = leg = terms = None
     return r, close, close_abs, s, s_abs, u, u_abs
 
 
@@ -352,8 +348,7 @@ def symmetrization_energy(
     Sums w_i w_j w_k times the three-point symmetrization over all ordered
     triples of distinct atoms whose three pairwise distances exceed
     window.eps; equivalently six times the sum over unordered triples.
-    Nonincreasing in eps for 0 < alpha < 1.  The outer window radius does
-    not apply to triple sums.
+    Nonincreasing in eps for 0 < alpha < 1.
 
     Computed as sum_i w_i (gram_i + cross_i) over the certified parts of
     the squared potentials: each triple is summed once around each of its
@@ -502,7 +497,7 @@ def wolff_potential(
 ) -> float:
     """Truncated Wolff potential at x, evaluated in closed form.
 
-    Integrates (m(r)/r^trace)^dual_exp dr/r over [eps, outer] piece by piece:
+    Integrates (m(r)/r^trace)^dual_exp dr/r over [eps, inf) piece by piece:
     between atom distances the integrand is an exact power of r.  Monotone
     nondecreasing as eps decreases; finite for every eps > 0 even at atom
     sites, where the untruncated integral diverges.  One row of
@@ -516,14 +511,13 @@ def wolff_potential(
 
 def _wolff_drops(sorted_d: np.ndarray, beta: float, window: TruncationWindow) -> np.ndarray:
     """lo^-beta - hi^-beta of every piece [lo, hi) of sorted distance rows,
-    both ends clipped to [eps, outer].  A piece's hi is the next piece's lo,
-    and a row's last piece ends at outer: at r_out, or unbounded (inf^-beta
-    = 0) when r_out is None.  The ends, outer appended to each row, are
-    raised to -beta once, in one array power."""
+    both ends floored at eps.  A piece's hi is the next piece's lo, and a
+    row's last piece is unbounded (inf^-beta = 0).  The ends, inf appended
+    to each row, are raised to -beta once, in one array power."""
     ends = np.empty((len(sorted_d), sorted_d.shape[1] + 1))
     ends[:, :-1] = sorted_d
-    ends[:, -1] = window.outer
-    np.clip(ends, window.eps, window.outer, out=ends)
+    ends[:, -1] = math.inf
+    np.maximum(ends, window.eps, out=ends)
     ends **= -beta
     return ends[:, :-1] - ends[:, 1:]
 
@@ -652,7 +646,7 @@ def maximal_potential(
     mu: DiscreteMeasure, x, params: KernelParams, window: TruncationWindow
 ) -> float:
     """Truncated maximal function plus the square-rooted potential at x."""
-    m = maximal_function(mu, x, params.alpha, r_min=window.eps, r_max=window.outer)
+    m = maximal_function(mu, x, params.alpha, r_min=window.eps)
     return m + math.sqrt(symmetrization_potential_sq(mu, x, params, window))
 
 
@@ -660,7 +654,7 @@ def maximal_potential_values(
     mu: DiscreteMeasure, params: KernelParams, window: TruncationWindow
 ) -> np.ndarray:
     """Per-atom combined potential values M_i + sqrt(pp_i)."""
-    m = maximal_at_atoms(mu, params.alpha, r_min=window.eps, r_max=window.outer)
+    m = maximal_at_atoms(mu, params.alpha, r_min=window.eps)
     pp = symmetrization_potentials_sq_at_atoms(mu, params, window)
     return m + np.sqrt(pp)
 
@@ -689,12 +683,12 @@ def ball_mass_double_sum(
 
     Closed-ball masses; comparable (two-sided, constants depending on alpha)
     to the triple-sum symmetrization energy.  Summed by parts over each
-    row's distinct distances it is, exactly and whatever ``window.r_out``,
+    row's distinct distances it is exactly
 
         alpha W - 1/2 eps^(-2a) sum_i w_i mu(B(x_i, eps))^2
                 + 1/2 sum_i w_i sum_g m_ig^2 r_ig^(-2a),
 
-    with W the matched Wolff energy at r_out = None (p = 3/2, whose pieces
+    with W the matched Wolff energy (p = 3/2, whose pieces
     have beta = 2a), g running over row i's distinct distances r_ig > eps
     and m_ig the mass at that distance: a Wolff energy up to a boundary
     term and a tie term.
@@ -756,7 +750,6 @@ class EnergyReport:
             "n": self.params.n,
             "alpha": self.params.alpha,
             "eps": self.window.eps,
-            "r_out": self.window.r_out,
             "N_atoms": self.n_atoms,
             "p_alpha": self.symmetrization,
             "riesz_l2": self.riesz_l2,
@@ -804,7 +797,7 @@ def energy_report(
     pp = symmetrization_potentials_sq_at_atoms(mu, params, window)
     l2 = [riesz_l2_energy(mu, params, float(e)) for e in sweep]
     exps = WolffExponents.matched(params)
-    m_vals = maximal_at_atoms(mu, params.alpha, r_min=window.eps, r_max=window.outer)
+    m_vals = maximal_at_atoms(mu, params.alpha, r_min=window.eps)
     return EnergyReport(
         params=params,
         window=window,

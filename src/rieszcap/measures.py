@@ -61,8 +61,9 @@ class DiscreteMeasure:
     weights : (N,) array
         Nonnegative masses with positive total.
     delta : float, optional
-        Resolution scale; must not exceed the minimum pairwise atom
-        distance.  Defaults to that minimum (or 1.0 for a single atom).
+        Resolution scale, positive and finite; must not exceed the
+        minimum pairwise atom distance.  Defaults to that minimum (or 1.0
+        for a single atom).
     """
 
     atoms: np.ndarray
@@ -113,8 +114,8 @@ class DiscreteMeasure:
         if delta is None:
             delta = gap if math.isfinite(gap) else 1.0
         delta = float(delta)
-        if delta <= 0.0:
-            raise MeasureFormatError(f"delta must be positive, got {delta}")
+        if not (delta > 0.0) or not math.isfinite(delta):
+            raise MeasureFormatError(f"delta must be positive and finite, got {delta}")
         if delta > gap * (1.0 + _GAP_RTOL):
             raise MeasureFormatError(
                 f"delta={delta} exceeds the minimum pairwise atom distance {gap}"
@@ -367,8 +368,8 @@ class CantorSpec:
             raise DomainError(f"contraction ratio must lie in (0, 1/2], got {self.ratio}")
         if self.depth < 0 or int(self.depth) != self.depth:
             raise DomainError(f"depth must be a nonnegative integer, got {self.depth}")
-        if self.base <= 0.0:
-            raise DomainError(f"base side must be positive, got {self.base}")
+        if not (self.base > 0.0) or not math.isfinite(self.base):
+            raise DomainError(f"base side must be positive and finite, got {self.base}")
         offset = self.offset
         if offset is None:
             offset = (0.0,) * self.n
@@ -561,10 +562,8 @@ def ball_profile(mu: DiscreteMeasure, x) -> BallProfile:
     return BallProfile(center=p, radii=radii, masses=masses)
 
 
-def maximal_function(
-    mu: DiscreteMeasure, x, alpha: float, r_min: float = 0.0, r_max: float = math.inf
-) -> float:
-    """sup over r in [max(r_min, 0+), r_max] of mu(B(x, r)) / r^alpha.
+def maximal_function(mu: DiscreteMeasure, x, alpha: float, r_min: float = 0.0) -> float:
+    """sup over r >= max(r_min, 0+) of mu(B(x, r)) / r^alpha.
 
     With r_min = 0 this is the untruncated fractional maximal function; it
     returns +inf when x carries positive point mass.  For a discrete measure
@@ -575,7 +574,7 @@ def maximal_function(
         raise DomainError(f"alpha must be positive, got {alpha}")
     p = as_point(x, mu.n)[None]
     near, sorted_d = _sort_rows(mu.weights, _built_rows(p, mu.atoms))
-    return float(np.max(_ratios(near, sorted_d, alpha, r_min, r_max)))
+    return float(np.max(_ratios(near, sorted_d, alpha, r_min)))
 
 
 def _row_order(mu: DiscreteMeasure) -> np.ndarray:
@@ -648,21 +647,17 @@ def _prefix_masses(near: np.ndarray, power=None) -> np.ndarray:
     return np.broadcast_to(cum, near.shape)
 
 
-def _ratios(near: np.ndarray, sorted_d: np.ndarray, alpha: float, r_min: float,
-            r_max: float) -> np.ndarray:
+def _ratios(near: np.ndarray, sorted_d: np.ndarray, alpha: float, r_min: float) -> np.ndarray:
     """Ratios along sorted rows (``_sort_rows``): closed-ball masses over
-    radii^alpha at radii max(d, r_min), zero for an empty ball or a radius
-    above r_max.  A row's maximum is the maximal function at its center."""
+    radii^alpha at radii max(d, r_min), zero for an empty ball.  A row's
+    maximum is the maximal function at its center."""
     cum = _prefix_masses(near)
     r = np.maximum(sorted_d, r_min)
-    # Only radii in [r_min, r_max] are admissible: none when r_max < r_min.
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where((cum > 0.0) & (r <= r_max), cum / r**alpha, 0.0)
+        return np.where(cum > 0.0, cum / r**alpha, 0.0)
 
 
-def maximal_at_atoms(
-    mu: DiscreteMeasure, alpha: float, r_min: float = 0.0, r_max: float = math.inf
-) -> np.ndarray:
+def maximal_at_atoms(mu: DiscreteMeasure, alpha: float, r_min: float = 0.0) -> np.ndarray:
     """Vectorized maximal_function evaluated at every atom site.
 
     Reads one row per symmetry orbit (``_orbit_rows``).
@@ -672,7 +667,7 @@ def maximal_at_atoms(
     orbits = _orbit_rows(mu)
     out = np.empty(len(orbits.reps))
     for rows, near, sorted_d in _sorted_rows(mu, orbits.reps):
-        out[rows] = np.max(_ratios(near, sorted_d, alpha, r_min, r_max), axis=1)
+        out[rows] = np.max(_ratios(near, sorted_d, alpha, r_min), axis=1)
     return out[orbits.index]
 
 

@@ -283,7 +283,7 @@ def quadrature_wolff(
 ) -> float:
     """Wolff-type radial integral by adaptive Simpson on log radius.
 
-    Integrates (mu(B(x, r)) / r^trace)^dual_exp dr/r over the window.  The
+    Integrates (mu(B(x, r)) / r^trace)^dual_exp dr/r over [eps, inf).  The
     integrand is piecewise smooth between the sorted atom distances, so the
     quadrature runs piece by piece up to twice the largest breakpoint; the
     remaining tail, where the ball mass is constant, is added analytically.
@@ -291,7 +291,6 @@ def quadrature_wolff(
     trace = exps.trace
     dual_exp = exps.dual_exp
     eps = window.eps
-    r_out = window.outer
     beta = trace * dual_exp
     if beta <= 0.0:
         raise DomainError(f"tail diverges for trace*dual_exp = {beta}")
@@ -308,7 +307,7 @@ def quadrature_wolff(
         return 0.0 if m <= 0.0 else (m / r**trace) ** dual_exp
 
     last = max(d for d, _ in pairs)
-    r_num = min(max(2.0 * last, 2.0 * eps), r_out)
+    r_num = max(2.0 * last, 2.0 * eps)
     cuts = sorted({eps, r_num} | {d for d, _ in pairs if eps < d < r_num})
     # The integrand jumps exactly at the cuts, so each piece samples a hair
     # inside its own interval; the clamp is a few ulps wide and contributes
@@ -323,10 +322,7 @@ def quadrature_wolff(
             continue
         clamped = lambda u, lo=lo, hi=hi: integrand_log(min(max(u, lo), hi))
         total += _integrate_smooth(clamped, ua, ub, qcfg.rel_tol, qcfg.max_subdivisions)
-    if r_num < r_out:
-        m_tail = ball_mass(r_num)
-        top = 0.0 if math.isinf(r_out) else r_out ** (-beta)
-        total += m_tail**dual_exp * (r_num ** (-beta) - top) / beta
+    total += ball_mass(r_num) ** dual_exp * r_num ** (-beta) / beta
     return total
 
 
@@ -343,7 +339,7 @@ def wolff_cubic_form(mu: DiscreteMeasure, alpha: float, window: TruncationWindow
     x_j and x_l from radius max(d_ij, d_il) on.  Hence
 
         E(w) = sum_i sum_{j,l} w_i w_j w_l G(max(d_ij, d_il)),
-        G(r) = (max(r, eps)^(-2a) - r_out^(-2a))_+ / (2a),
+        G(r) = max(r, eps)^(-2a) / (2a),
 
     a cubic form whose gradient needs no sorting or prefix sums.  Returns
     (E, [dE/dw_m for every atom m]).
@@ -351,12 +347,11 @@ def wolff_cubic_form(mu: DiscreteMeasure, alpha: float, window: TruncationWindow
     if not (0.0 < alpha):
         raise DomainError(f"alpha must be positive, got {alpha}")
     beta = 2.0 * alpha
-    top = 0.0 if window.r_out is None else window.r_out ** (-beta)
     atoms, weights = _atom_rows(mu)
     size = len(atoms)
     # G is nonincreasing in r, so G(max(d_ij, d_il)) = min(g_ij, g_il).
     g = [
-        [max(max(_dist(p, q), window.eps) ** (-beta) - top, 0.0) / beta for q in atoms]
+        [max(_dist(p, q), window.eps) ** (-beta) / beta for q in atoms]
         for p in atoms
     ]
     energy = 0.0

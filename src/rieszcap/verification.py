@@ -335,8 +335,7 @@ def suite_wolff_quadrature(seed: int = 0) -> SuiteResult:
         for _ in range(66):
             mu = random_measure(rng, _atom_count(rng, 12))
             x = rng.uniform(-1.4, 1.4, size=2)
-            r_out = float(rng.uniform(3.0, 8.0)) if rng.random() < 0.5 else None
-            window = TruncationWindow(float(rng.uniform(0.03, 0.4)), r_out)
+            window = TruncationWindow(float(rng.uniform(0.03, 0.4)))
             a = wolff_potential(mu, x, exps, window)
             b = quadrature_wolff(mu, x, exps, window, qcfg)
             rel = abs(a - b) / max(abs(b), 1e-30)

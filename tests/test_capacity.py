@@ -131,7 +131,7 @@ class TestWolffMinimization:
 
 
 def _random_support(rng):
-    return make_random_measure(rng, 16), TruncationWindow(0.05, 2.5)
+    return make_random_measure(rng, 16), TruncationWindow(0.05)
 
 
 def _cantor_support(rng):

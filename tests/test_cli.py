@@ -45,6 +45,12 @@ class TestGen:
         main(["gen", "--ratio", "0.3", "--depth", "4", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_non_finite_base_exit_3(self, tmp_path, capsys):
+        code = main(["gen", "--ratio", "0.25", "--depth", "2", "--base", "nan",
+                     "--out", str(tmp_path / "x.json")])
+        assert code == 3
+        assert "base side" in capsys.readouterr().err
+
     def test_size_cap_exit_2(self, tmp_path):
         code = main(["gen", "--ratio", "0.25", "--depth", "9",
                      "--out", str(tmp_path / "x.json")])
@@ -145,12 +151,13 @@ class TestEnergy:
         doc = json.loads(out.read_text())
         assert doc[0]["N_atoms"] == 3
 
-    @pytest.mark.parametrize("delta", ["null", "[0.5]", '"wide"'])
+    @pytest.mark.parametrize("delta", ["null", "[0.5]", '"wide"', "NaN"])
     def test_malformed_delta_exit_3(self, tmp_path, delta):
+        # An explicit eps, so that the refusal comes from the measure.
         bad = tmp_path / "bad.json"
         bad.write_text('{"n": 2, "delta": %s, "atoms": [[0, 0], [1, 0]], '
                        '"weights": [1, 1]}' % delta)
-        assert main(["energy", "--measure", str(bad)]) == 3
+        assert main(["energy", "--measure", str(bad), "--eps", "0.5"]) == 3
 
     def test_defaults_one_row_at_alpha_half_and_delta(self, quarter_file, tmp_path):
         out = tmp_path / "rows.csv"
@@ -302,6 +309,23 @@ class TestMeasureRoundTripViaCli:
                      "--eps", "0.5", "--out", str(out)])
         assert code == 0
         assert "p_alpha" in out.read_text()
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--n", "abc"],
+        ["energy", "--bogus"],
+        ["energy", "--r-out", "2"],
+        [],
+    ], ids=["bad-int", "unknown-flag", "no-outer-cutoff", "no-command"])
+    def test_usage_error_exit_3(self, capsys, argv):
+        # Exit 2 is the size cap: a typo must not look like one.
+        assert main(argv) == 3
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exit_0(self, capsys):
+        assert main(["energy", "--help"]) == 0
+        assert "--eps" in capsys.readouterr().out
 
 
 class TestReadme:

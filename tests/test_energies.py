@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 import os
@@ -269,15 +270,18 @@ class TestTruncationWindow:
     def test_validation(self):
         with pytest.raises(DomainError):
             TruncationWindow(0.0)
-        with pytest.raises(DomainError):
-            TruncationWindow(1.0, 0.5)
-        w = TruncationWindow(0.5, 2.0)
-        assert w.outer == 2.0
-        assert TruncationWindow(0.5).outer == math.inf
+        for eps in (-1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                TruncationWindow(eps)
+        # The window is its inner radius alone.
+        assert [f.name for f in dataclasses.fields(TruncationWindow)] == ["eps"]
+        with pytest.raises(TypeError):
+            TruncationWindow(0.5, 2.0)
 
     def test_scaled(self):
-        w = TruncationWindow(0.5, 2.0).scaled(4.0)
-        assert (w.eps, w.r_out) == (2.0, 8.0)
+        assert TruncationWindow(0.5).scaled(4.0) == TruncationWindow(2.0)
+        with pytest.raises(DomainError):
+            TruncationWindow(0.5).scaled(0.0)
 
 
 class TestSymmetrizationEnergy:
@@ -706,9 +710,9 @@ class TestCombinedEnergy:
 
 def _double_sum_by_parts(mu, alpha, eps):
     """alpha W - 1/2 eps^(-2a) sum_i w_i mu(B(x_i, eps))^2
-    + 1/2 sum_i w_i sum_g m_ig^2 r_ig^(-2a): W is the matched Wolff energy
-    at r_out = None, g runs over row i's distinct distances r_ig > eps and
-    m_ig is the mass at that distance."""
+    + 1/2 sum_i w_i sum_g m_ig^2 r_ig^(-2a): W is the matched Wolff energy,
+    g runs over row i's distinct distances r_ig > eps and m_ig is the mass
+    at that distance."""
     w = mu.weights
     exps = energies.WolffExponents.matched(KernelParams(alpha, mu.n))
     wolff = energies.wolff_energy(mu, exps, TruncationWindow(eps))
@@ -765,8 +769,7 @@ class TestDoubleSum:
         mu = BY_PARTS_SUPPORTS[support](rng)
         params = KernelParams(alpha, mu.n)
         for factor in (1.0, 2.5, 7.0):
-            # The double sum ignores r_out.
-            window = TruncationWindow(factor * mu.delta, 100.0)
+            window = TruncationWindow(factor * mu.delta)
             assert ball_mass_double_sum(mu, params, window) == pytest.approx(
                 _double_sum_by_parts(mu, alpha, window.eps), rel=1e-12)
 
@@ -789,7 +792,7 @@ ORBIT_FUNCTIONALS = {
     "potentials_sq": lambda m, p, w: symmetrization_potentials_sq_at_atoms(m, p, w),
     "wolff_potentials": lambda m, p, w: energies.wolff_potentials_at_atoms(
         m, energies.WolffExponents.matched(p), w),
-    "maximal_at_atoms": lambda m, p, w: maximal_at_atoms(m, p.alpha, w.eps, w.outer),
+    "maximal_at_atoms": lambda m, p, w: maximal_at_atoms(m, p.alpha, w.eps),
     "maximal_potential_energy": lambda m, p, w: maximal_potential_energy(m, p, w),
 }
 
@@ -941,7 +944,7 @@ class TestEnergyReport:
         assert report.sup_riesz_l2 == max(riesz_l2_energy(_fresh(mu), P2, float(e)) for e in sweep)
         assert report.wolff == energies.wolff_energy(_fresh(mu), exps, window)
         assert report.maximal_potential == maximal_potential_energy(_fresh(mu), P2, window)
-        m_vals = maximal_at_atoms(_fresh(mu), 0.5, r_min=window.eps, r_max=window.outer)
+        m_vals = maximal_at_atoms(_fresh(mu), 0.5, r_min=window.eps)
         assert report.max_maximal == float(m_vals.max())
 
 
@@ -962,12 +965,12 @@ class TestEqualWeightPrefix:
             near, sorted_d = measures._sort_rows(
                 mu.weights, measures._distance_rows(mu, slice(None)))
             assert near.strides == (0, 0)
-            for r_min, r_max in ((mu.delta, np.inf), (0.0, 0.5), (0.3, 0.1)):
-                vals = measures._ratios(near, sorted_d, 0.5, r_min, r_max)
+            for r_min in (mu.delta, 0.0, 0.3):
+                vals = measures._ratios(near, sorted_d, 0.5, r_min)
                 cum = np.cumsum(near, axis=1)
                 ref_r = np.maximum(sorted_d, r_min)
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    ref = np.where((cum > 0.0) & (ref_r <= r_max), cum / ref_r**0.5, 0.0)
+                    ref = np.where(cum > 0.0, cum / ref_r**0.5, 0.0)
                 assert np.array_equal(vals, ref)
 
     @pytest.mark.parametrize("p", [2.0, 1.5, 1.25])
@@ -1023,3 +1026,28 @@ def test_kernel_rows_build_one_legs_array():
     # The distance rows, the scale and the mask, and the legs once: scaling
     # a second (B, N, n) copy of the legs would add 8 MiB.
     assert peak <= legs + scale + dist + mask + (1 << 20)
+
+
+def test_transform_pass_holds_one_block(monkeypatch):
+    # An orbit-free depth-5 Cantor support (N = 1024) with close pairs, in
+    # blocks of 32 rows: one kernel block is 8 * 32 * 1024 * 2 = 512 KiB.
+    mu = cantor_measure(CantorSpec(2, 0.25, 5))
+    mu = DiscreteMeasure(mu.atoms, mu.weights, mu.delta)
+    eps = 3.0 * mu.delta
+    pairs = energies._close_pairs(mu, eps)
+    assert len(pairs) > 0
+    block = 32
+    monkeypatch.setattr(energies, "_row_block", lambda *args: block)
+
+    def peak(rows):
+        tracemalloc.start()
+        try:
+            energies._transform_at_atoms(mu, 0.5, eps, rows, pairs, mu.weights[rows])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak(np.arange(block))
+    # The previous block's kernel rows, dot products and terms are freed
+    # before the next block is built.
+    assert peak(np.arange(4 * block)) - one < 8 * block * mu.size * mu.n

@@ -604,18 +604,10 @@ class TestMaximalFunction:
     def test_batched_matches_pointwise(self, rng):
         # A point's row is one row of the at-atoms pass: the same bits.
         for mu, rows in point_row_cases(rng):
-            for r_min, r_max in ((mu.delta, math.inf), (4.0 * mu.delta, 0.9)):
-                batch = maximal_at_atoms(mu, 0.6, r_min=r_min, r_max=r_max)
-                singles = [
-                    maximal_function(mu, mu.atoms[i], 0.6, r_min=r_min, r_max=r_max)
-                    for i in rows
-                ]
+            for r_min in (mu.delta, 4.0 * mu.delta):
+                batch = maximal_at_atoms(mu, 0.6, r_min=r_min)
+                singles = [maximal_function(mu, mu.atoms[i], 0.6, r_min=r_min) for i in rows]
                 assert np.array_equal(batch[rows], singles)
-        # r_max < r_min leaves no admissible radius, so no ball counts.
-        line = DiscreteMeasure([[0.0], [1.0], [3.0]], np.ones(3))
-        batch = maximal_at_atoms(line, 0.5, r_min=2.0, r_max=1.5)
-        singles = [maximal_function(line, x, 0.5, r_min=2.0, r_max=1.5) for x in line.atoms]
-        assert batch.tolist() == singles == [0.0, 0.0, 0.0]
 
     def test_alpha_must_be_positive(self):
         mu = DiscreteMeasure([[0.0]], [1.0])
@@ -712,7 +704,7 @@ class TestRowOrderCache:
             return (
                 wolff_potentials_at_atoms(measure, exps, window),
                 ball_mass_double_sum(measure, params, window),
-                maximal_at_atoms(measure, 0.5, r_min=window.eps, r_max=0.6),
+                maximal_at_atoms(measure, 0.5, r_min=window.eps),
             )
 
         for measure in (mu, nu):

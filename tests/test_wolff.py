@@ -65,13 +65,6 @@ class TestClosedForm:
         ]
         assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
 
-    def test_outer_cutoff(self):
-        mu = DiscreteMeasure([[0.0, 0.0]], [2.0])
-        eps, r_out = 0.5, 4.0
-        got = wolff_potential(mu, [0.0, 0.0], MATCHED, TruncationWindow(eps, r_out))
-        want = 4.0 * (1 / eps - 1 / r_out)
-        assert got == pytest.approx(want, rel=1e-14)
-
     @pytest.mark.parametrize(
         "exps",
         [MATCHED, WolffExponents(s=0.8, p=2.0, n=2), WolffExponents(s=0.5, p=1.8, n=2)],
@@ -101,7 +94,7 @@ class TestClosedForm:
         # A point's row is one row of the at-atoms pass: the same bits.
         for mu, rows in point_row_cases(rng):
             exps = WolffExponents.matched(KernelParams(0.5, mu.n))
-            for window in (TruncationWindow(mu.delta), TruncationWindow(4.0 * mu.delta, 0.9)):
+            for window in (TruncationWindow(mu.delta), TruncationWindow(4.0 * mu.delta)):
                 batch = wolff_potentials_at_atoms(mu, exps, window)
                 singles = [wolff_potential(mu, mu.atoms[i], exps, window) for i in rows]
                 assert np.array_equal(batch[rows], singles)
@@ -128,31 +121,33 @@ class TestQuadratureOracle:
             quadrature_wolff(mu, [0.0, 0.0], MATCHED, TruncationWindow(0.1), qcfg)
 
 
-def _two_power_drops(sorted_d, beta, window):
-    """The reference: each piece's lo and hi raised to -beta on their own,
-    the last piece's hi at infinity before clipping."""
-    lo = np.clip(sorted_d, window.eps, window.outer)
-    hi = np.concatenate([sorted_d[:, 1:], np.full((len(sorted_d), 1), np.inf)], axis=1)
-    hi = np.clip(hi, window.eps, window.outer)
-    with np.errstate(divide="ignore"):
-        return lo ** (-beta) - np.where(np.isinf(hi), 0.0, hi ** (-beta))
+def _two_power_drops(sorted_d, beta, window, last=None):
+    """The reference: each piece's lo and hi floored at eps and raised to
+    -beta on their own.  The last piece's hi is ``last`` raised to -beta
+    (inf^-beta = 0), or an explicit 0 when ``last`` is None."""
+    lo = np.maximum(sorted_d, window.eps) ** (-beta)
+    end = np.full((len(sorted_d), 1), np.inf if last is None else last)
+    hi = np.maximum(np.concatenate([sorted_d[:, 1:], end], axis=1), window.eps) ** (-beta)
+    if last is None:
+        hi[:, -1] = 0.0
+    return lo - hi
 
 
 class TestPieceDrops:
-    @pytest.mark.parametrize("r_out", [None, 1.3, np.inf])
+    @pytest.mark.parametrize("last", [None, np.inf])
     @pytest.mark.parametrize("beta", [0.37, 0.5, 1.0, 1.5, 2.0])
-    def test_one_power_equals_two(self, rng, r_out, beta):
-        # Rows with ties (a 0.05 grid) and entries below eps and above outer.
+    def test_one_power_equals_two(self, rng, last, beta):
+        # Rows with ties (a 0.05 grid) and entries below eps.
         d = np.round(rng.uniform(0.0, 2.5, (40, 30)) / 0.05) * 0.05
         d[:, 0] = 0.0
         sorted_d = np.sort(d, axis=1)
-        window = TruncationWindow(0.3, r_out)
+        window = TruncationWindow(0.3)
         drops = energies._wolff_drops(sorted_d, beta, window)
-        assert np.array_equal(drops, _two_power_drops(sorted_d, beta, window))
+        assert np.array_equal(drops, _two_power_drops(sorted_d, beta, window, last))
 
     def test_one_power_equals_two_on_a_cantor_row_block(self):
         mu = cantor_measure(CantorSpec(2, 0.5, 3))
         sorted_d = np.sort(measures._distance_rows(mu, slice(None)), axis=1)
-        for window in (TruncationWindow(mu.delta), TruncationWindow(mu.delta, 0.6)):
+        for window in (TruncationWindow(mu.delta), TruncationWindow(4.0 * mu.delta)):
             drops = energies._wolff_drops(sorted_d, 1.0, window)
             assert np.array_equal(drops, _two_power_drops(sorted_d, 1.0, window))

@@ -13,7 +13,10 @@ from ROOT/bench/workloads.py, which it only reads.  It prints:
 * the 36 cells of the standard comparability sweep, each field with %.17g;
 * capacity estimates (value, witness-weight bytes, diagnostics) on
   Cantor and random supports, and the Wolff optimizer on the random
-  supports.
+  supports;
+* on the same supports at eps and 4 eps, the ``float.hex`` of every
+  ``energy_report`` field, and of the maximal function and the matched
+  Wolff potential at three fixed points off the atoms.
 
 Two checkouts compute the same bits when their digests are equal:
 
@@ -98,12 +101,37 @@ def _estimates() -> None:
             print(_estimate_line(f"wolff {label}", est))
 
 
+def _reports() -> None:
+    import dataclasses
+
+    from rieszcap.energies import TruncationWindow, WolffExponents, energy_report, wolff_potential
+    from rieszcap.kernels import KernelParams
+    from rieszcap.measures import maximal_function
+
+    points = ((0.5, 0.5), (0.123, 0.877), (1.3, -0.2))
+    for label, alpha, mu, eps in _supports():
+        params = KernelParams(alpha, 2)
+        exps = WolffExponents.matched(params)
+        for r in (eps, 4.0 * eps):
+            window = TruncationWindow(r)
+            report = energy_report(mu, params, window)
+            fields = " ".join(f"{f.name}={float(getattr(report, f.name)).hex()}"
+                              for f in dataclasses.fields(report)
+                              if f.name not in ("params", "window"))
+            print(f"report {label} eps={r.hex()} {fields}")
+            for x in points:
+                m = maximal_function(mu, x, alpha, r_min=r)
+                v = wolff_potential(mu, x, exps, window)
+                print(f"point {label} eps={r.hex()} x={x} maximal={m.hex()} wolff={v.hex()}")
+
+
 def main(argv: list) -> None:
     root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1]
     workloads = _load(root.resolve())
     _bench_items(workloads)
     _sweep()
     _estimates()
+    _reports()
 
 
 if __name__ == "__main__":
